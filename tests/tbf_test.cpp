@@ -3,12 +3,18 @@
 // time-based extension, and zero false negatives against ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "baseline/exact_detectors.hpp"
 #include "core/detector_factory.hpp"
 #include "core/timing_bloom_filter.hpp"
 #include "detector_test_util.hpp"
+#include "hashing/fnv.hpp"
+#include "stream/rng.hpp"
 #include "analysis/validity_oracle.hpp"
 
 namespace ppc::core {
@@ -311,6 +317,91 @@ TEST(TbfDeterminism, SameSeedSameVerdicts) {
   const auto ids = testutil::make_id_stream(5000, 0.25, 1000, 99);
   for (std::uint64_t id : ids) EXPECT_EQ(a.offer(id), b.offer(id));
 }
+
+// Pins the verdict stream and the snapshot bytes of the three TBF
+// geometries the system runs in production: the tiered pool's count-basis
+// tail (m = 16.0M, k = 11, 21-bit entries) and hot-ad detectors (m =
+// 83,429, k = 14, 13-bit), and the time-basis window of the enforcement
+// workload. The stream mixes fresh ids with replays from up to 1.5 windows
+// back, in random chunks through both offer paths, so expiry, cleaning
+// and counter wraparound all run. Any change to the probe or cleaning
+// kernels must leave both digests unchanged.
+struct PinnedTbf {
+  const char* name;
+  WindowSpec window;
+  std::uint64_t entries;
+  std::size_t k;
+  std::size_t entry_bits;
+  std::uint64_t clicks;
+  std::uint64_t window_clicks;  ///< clicks one window spans (replay reach)
+  std::uint64_t verdict_digest;
+  std::uint64_t snapshot_digest;
+
+  friend void PrintTo(const PinnedTbf& p, std::ostream* os) { *os << p.name; }
+};
+
+class TbfPinnedDigest : public ::testing::TestWithParam<PinnedTbf> {};
+
+TEST_P(TbfPinnedDigest, VerdictsAndSnapshotMatchRecordedDigests) {
+  const PinnedTbf& p = GetParam();
+  TimingBloomFilter tbf(p.window, small_opts(p.entries, p.k));
+  ASSERT_EQ(tbf.entry_bits(), p.entry_bits);
+
+  stream::Rng rng(0x7bf);
+  std::vector<ClickId> ids(p.clicks);
+  std::vector<std::uint64_t> times(p.clicks);
+  std::uint64_t now = 0;
+  const std::uint64_t reach = p.window_clicks + p.window_clicks / 2;
+  for (std::uint64_t i = 0; i < p.clicks; ++i) {
+    ids[i] = i > 0 && rng.chance(0.3)
+                 ? ids[i - 1 - rng.below(std::min(i, reach))]
+                 : rng.next();
+    now += rng.below(4);  // time basis: 1.5 us per click on average
+    times[i] = now;
+  }
+
+  std::string verdicts(p.clicks, '\0');
+  std::vector<char> out(4096);
+  const std::span<bool> out_span(reinterpret_cast<bool*>(out.data()),
+                                 out.size());
+  for (std::uint64_t off = 0; off < p.clicks;) {
+    const std::uint64_t len =
+        std::min<std::uint64_t>(1 + rng.below(4096), p.clicks - off);
+    if (len == 1 || rng.chance(0.05)) {
+      for (std::uint64_t i = off; i < off + len; ++i) {
+        verdicts[i] = tbf.offer(ids[i], times[i]) ? 1 : 0;
+      }
+    } else {
+      tbf.offer_batch(std::span<const ClickId>(ids).subspan(off, len),
+                      std::span<const std::uint64_t>(times).subspan(off, len),
+                      out_span.first(len));
+      for (std::uint64_t i = 0; i < len; ++i) {
+        verdicts[off + i] = out_span[i] ? 1 : 0;
+      }
+    }
+    off += len;
+  }
+  std::ostringstream snap(std::ios::binary);
+  tbf.save(snap);
+  EXPECT_EQ(hashing::fnv1a64(verdicts), p.verdict_digest) << p.name;
+  EXPECT_EQ(hashing::fnv1a64(snap.str()), p.snapshot_digest) << p.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProductionGeometries, TbfPinnedDigest,
+    ::testing::Values(
+        PinnedTbf{"tiered_tail", WindowSpec::sliding_count(1 << 20),
+                  16'018'244, 11, 21, 2'500'000, 1 << 20,
+                  0x8526dc9644d56eb3ULL, 0xec2d673858b8c5fbULL},
+        PinnedTbf{"tiered_hot", WindowSpec::sliding_count(4096), 83'429, 14,
+                  13, 200'000, 4096, 0x4d889f502b291aefULL,
+                  0x8092e19ea46179d3ULL},
+        PinnedTbf{"enforce_time", WindowSpec::sliding_time(524288, 512),
+                  1'525'201, 4, 11, 1'000'000, 524288 * 2 / 3,
+                  0xde06ee7ffdbabc1dULL, 0x0ab8c100554573baULL}),
+    [](const ::testing::TestParamInfo<PinnedTbf>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace ppc::core
