@@ -12,10 +12,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
+
+#include "bits/flat_index.hpp"
 
 namespace ppc::analysis {
 
@@ -28,8 +28,9 @@ class SpaceSaving {
   };
 
   explicit SpaceSaving(std::size_t capacity) : capacity_(capacity) {
-    if (capacity == 0) {
-      throw std::invalid_argument("SpaceSaving: capacity must be >= 1");
+    if (capacity == 0 || capacity >= kNil) {
+      throw std::invalid_argument(
+          "SpaceSaving: capacity must be in [1, 2^32 - 1)");
     }
   }
 
@@ -46,20 +47,21 @@ class SpaceSaving {
   /// (count - error still exceeds the threshold).
   bool guaranteed_frequent(std::uint64_t key,
                            std::uint64_t threshold) const {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    const Entry& e = *it->second;
-    return e.count - e.error > threshold;
+    const std::uint32_t c = index_.find(key);
+    if (c == kNil) return false;
+    const Counter& e = counters_[c];
+    return buckets_[e.bucket].count - e.error > threshold;
   }
 
   std::uint64_t stream_length() const noexcept { return stream_length_; }
-  std::size_t monitored() const noexcept { return index_.size(); }
+  std::size_t monitored() const noexcept { return counters_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
 
   void clear() {
+    counters_.clear();
     buckets_.clear();
     index_.clear();
-    bucket_of_.clear();
+    free_bucket_ = lowest_ = highest_ = kNil;
     stream_length_ = 0;
   }
 
@@ -75,23 +77,44 @@ class SpaceSaving {
   void restore(std::istream& in);
 
  private:
-  // Stream-Summary structure: buckets in ascending count order, each
-  // holding the entries that currently share that count. Incrementing an
-  // entry moves it to the next bucket in O(1).
+  // Stream-Summary structure in flat arrays: buckets in ascending count
+  // order, each holding the counters that currently share that count,
+  // newest arrival at the head. Incrementing a counter moves it to the
+  // head of the next bucket in O(1); the eviction victim is the tail of
+  // the lowest bucket (the key that has sat longest at the minimum).
+  // Links are array indices, kNil-terminated; freed buckets are chained
+  // through `higher`.
+  static constexpr std::uint32_t kNil = bits::FlatIndex::kNone;
+
+  struct Counter {
+    std::uint64_t key;
+    std::uint64_t error;
+    std::uint32_t bucket;
+    std::uint32_t prev;  ///< toward the bucket's head (newer)
+    std::uint32_t next;  ///< toward the bucket's tail (older)
+  };
   struct Bucket {
     std::uint64_t count;
-    std::list<Entry> items;
+    std::uint32_t head;
+    std::uint32_t tail;
+    std::uint32_t lower;
+    std::uint32_t higher;
   };
 
-  using BucketList = std::list<Bucket>;
-  using ItemIter = std::list<Entry>::iterator;
-
-  void increment(BucketList::iterator bucket, ItemIter item);
+  std::uint32_t add_bucket(std::uint64_t count, std::uint32_t lower,
+                           std::uint32_t higher);
+  void drop_bucket(std::uint32_t b);
+  void link(std::uint32_t b, std::uint32_t c, bool at_head);
+  void unlink(std::uint32_t c);
+  void increment(std::uint32_t c);
 
   std::size_t capacity_;
-  BucketList buckets_;  // ascending by count
-  std::unordered_map<std::uint64_t, ItemIter> index_;
-  std::unordered_map<std::uint64_t, BucketList::iterator> bucket_of_;
+  std::vector<Counter> counters_;  // one per monitored key
+  std::vector<Bucket> buckets_;
+  std::uint32_t free_bucket_ = kNil;
+  std::uint32_t lowest_ = kNil;   // minimum-count bucket
+  std::uint32_t highest_ = kNil;  // maximum-count bucket
+  bits::FlatIndex index_;         // key → counter
   std::uint64_t stream_length_ = 0;
 };
 
