@@ -121,14 +121,20 @@ double TimingBloomFilter::fill_factor() const {
 void TimingBloomFilter::clean_entries(std::uint64_t count) {
   const std::uint64_t m = table_.size();
   count = std::min(count, m);  // more than one full pass is redundant
-  for (std::uint64_t n = 0; n < count; ++n) {
-    const std::uint64_t value = table_.get(scan_pos_);
-    if (value != empty_ && !tick_active(value)) {
-      table_.set(scan_pos_, empty_);
-      if (ops_ != nullptr) ops_->entry_writes += 1;
-    }
-    if (ops_ != nullptr) ops_->entry_reads += 1;
-    scan_pos_ = scan_pos_ + 1 == m ? 0 : scan_pos_ + 1;
+  const Clock clock = this->clock();
+  bits::PackedIntVector::View table = table_.view();
+  // EMPTY is the all-ones value, so reclaiming an entry saturates it.
+  const auto expired = [&clock](std::uint64_t v) { return clock.expired(v); };
+  std::uint64_t cleared = 0;
+  for (std::uint64_t left = count; left > 0;) {
+    const std::uint64_t run = std::min(left, m - scan_pos_);
+    cleared += table.saturate_if(scan_pos_, run, expired);
+    left -= run;
+    scan_pos_ = scan_pos_ + run == m ? 0 : scan_pos_ + run;
+  }
+  if (ops_ != nullptr) {
+    ops_->entry_reads += count;
+    ops_->entry_writes += cleared;
   }
 }
 
@@ -180,20 +186,25 @@ bool TimingBloomFilter::probe_and_insert(ClickId id) {
 bool TimingBloomFilter::probe_and_insert_idx(const std::uint64_t* idx,
                                              std::size_t k) {
   // Duplicate iff present (no EMPTY entry) AND active (every timestamp
-  // inside the window) — footnotes 1 and 2 of the paper.
+  // inside the window) — footnotes 1 and 2 of the paper. The probe stops
+  // at the first absent entry: on a DRAM-sized table, waiting for all k
+  // loads costs more than the exit's mispredicts (the k stores of a fresh
+  // id do not stall). Only the entry test itself is branch-free.
+  const Clock clock = this->clock();
+  bits::PackedIntVector::View table = table_.view();
+  std::size_t read = 0;
   bool duplicate = true;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint64_t value = table_.get(static_cast<std::size_t>(idx[i]));
-    if (ops_ != nullptr) ops_->entry_reads += 1;
-    if (value == empty_ || !tick_active(value)) {
+  while (read < k) {
+    if (!clock.live(table.get(static_cast<std::size_t>(idx[read++])))) {
       duplicate = false;
       break;
     }
   }
+  if (ops_ != nullptr) ops_->entry_reads += read;
   if (duplicate) return true;
 
   for (std::size_t i = 0; i < k; ++i) {
-    table_.set(static_cast<std::size_t>(idx[i]), pos_);
+    table.set(static_cast<std::size_t>(idx[i]), clock.pos);
   }
   if (ops_ != nullptr) ops_->entry_writes += k;
   return false;
