@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "stream/rng.hpp"
 
 #include "bits/bit_vector.hpp"
+#include "bits/flat_index.hpp"
 #include "bits/packed_int_vector.hpp"
 #include "bits/sliced_bit_matrix.hpp"
 
@@ -197,8 +199,11 @@ TEST(SlicedBitMatrix, CountSlot) {
 // ------------------------------------------------ differential fuzzing
 
 TEST(PackedIntVectorFuzz, MatchesReferenceVectorUnderRandomOps) {
-  // 20k random get/set/fill ops at awkward widths vs a plain uint64 vector.
-  for (const std::size_t width : {3u, 13u, 21u, 37u, 61u}) {
+  // 20k random get/set/fill ops at awkward widths vs a plain uint64 vector,
+  // through the vector and through its View (set, and saturate_if over a
+  // random run, which must saturate exactly the entries its predicate
+  // picks and leave every other bit alone).
+  for (const std::size_t width : {1u, 3u, 13u, 21u, 37u, 61u, 64u}) {
     const std::uint64_t mask =
         width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
     PackedIntVector packed(501, width);
@@ -213,6 +218,28 @@ TEST(PackedIntVectorFuzz, MatchesReferenceVectorUnderRandomOps) {
           std::fill(reference.begin(), reference.end(), v);
           break;
         }
+        case 1: {
+          const std::uint64_t v = rng.next() & mask;
+          packed.view().set(i, v);
+          reference[i] = v;
+          break;
+        }
+        case 2: {
+          const std::size_t len =
+              static_cast<std::size_t>(rng.below(501 - i + 1));
+          const std::uint64_t bit = std::uint64_t{1} << rng.below(width);
+          const auto pick = [bit](std::uint64_t v) { return (v & bit) != 0; };
+          std::size_t expected_hits = 0;
+          for (std::size_t j = i; j < i + len; ++j) {
+            if (pick(reference[j])) {
+              reference[j] = mask;
+              ++expected_hits;
+            }
+          }
+          ASSERT_EQ(packed.view().saturate_if(i, len, pick), expected_hits)
+              << "width " << width << " op " << op;
+          break;
+        }
         default: {
           const std::uint64_t v = rng.next() & mask;
           packed.set(i, v);
@@ -223,7 +250,49 @@ TEST(PackedIntVectorFuzz, MatchesReferenceVectorUnderRandomOps) {
       const std::size_t probe = static_cast<std::size_t>(rng.below(501));
       ASSERT_EQ(packed.get(probe), reference[probe])
           << "width " << width << " op " << op;
+      ASSERT_EQ(packed.view().get(probe), reference[probe])
+          << "width " << width << " op " << op;
     }
+    for (std::size_t j = 0; j < reference.size(); ++j) {
+      ASSERT_EQ(packed.get(j), reference[j]) << "width " << width;
+    }
+    EXPECT_EQ(packed.raw_words().back(), 0u) << "guard word written";
+  }
+}
+
+TEST(FlatIndexFuzz, MatchesReferenceMapUnderRandomOps) {
+  // A small key space keeps probe runs long and collisions frequent, so
+  // erase's backward shift runs over wrapped and interleaved runs.
+  FlatIndex index;
+  std::unordered_map<std::uint64_t, std::uint32_t> reference;
+  stream::Rng rng(77);
+  for (int op = 0; op < 200'000; ++op) {
+    const std::uint64_t key = rng.below(300) * 0x100000001ULL;
+    const auto it = reference.find(key);
+    if (rng.chance(0.55)) {
+      if (it == reference.end()) {
+        const auto value = static_cast<std::uint32_t>(rng.below(1u << 30));
+        index.insert(key, value);
+        reference.emplace(key, value);
+      }
+    } else {
+      index.erase(key);
+      if (it != reference.end()) reference.erase(it);
+    }
+    if (op % 1000 == 999 && rng.chance(0.05)) {
+      index.clear();
+      reference.clear();
+    }
+    ASSERT_EQ(index.size(), reference.size()) << "op " << op;
+    const std::uint64_t probe = rng.below(300) * 0x100000001ULL;
+    const auto expected = reference.find(probe);
+    ASSERT_EQ(index.find(probe), expected == reference.end()
+                                     ? FlatIndex::kNone
+                                     : expected->second)
+        << "op " << op;
+  }
+  for (const auto& [key, value] : reference) {
+    ASSERT_EQ(index.find(key), value);
   }
 }
 
