@@ -1,20 +1,14 @@
-// Hash-substrate microbenchmarks: raw hash throughput and the cost of the
-// three IndexFamily strategies. Justifies the library default (one Murmur3
-// evaluation + Kirsch–Mitzenmacher double hashing) with numbers: k indices
-// for the price of ~one hash, vs k full hashes for the "independent"
-// strategy the FP-rate tests use as the gold standard.
+// Hash-substrate microbenchmarks: raw hash throughput and the cost of
+// IndexFamily's index derivation (two fmix64 chains + Kirsch–Mitzenmacher
+// double hashing), per key and batched.
 #include <benchmark/benchmark.h>
 
 #include <string>
-
 #include <vector>
 
 #include "hashing/fnv.hpp"
 #include "hashing/index_family.hpp"
 #include "hashing/murmur3.hpp"
-#include "hashing/simd_fmix.hpp"
-#include "hashing/tabulation.hpp"
-#include "hashing/xxhash.hpp"
 
 namespace {
 
@@ -33,17 +27,6 @@ void BM_Murmur3(benchmark::State& state) {
 }
 BENCHMARK(BM_Murmur3)->Arg(8)->Arg(40)->Arg(256)->Arg(4096);
 
-void BM_Xxh64(benchmark::State& state) {
-  const std::string data = payload(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(xxh64(data, seed++));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Xxh64)->Arg(8)->Arg(40)->Arg(256)->Arg(4096);
-
 void BM_Fnv1a(benchmark::State& state) {
   const std::string data = payload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -54,20 +37,9 @@ void BM_Fnv1a(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv1a)->Arg(8)->Arg(40)->Arg(256);
 
-void BM_Tabulation(benchmark::State& state) {
-  TabulationHash64 t(1);
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(t(key++));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Tabulation);
-
 void BM_IndexFamily(benchmark::State& state) {
-  const auto strategy = static_cast<IndexStrategy>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  IndexFamily family(k, 1u << 20, strategy, 7);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  IndexFamily family(k, 1u << 20, 7);
   std::uint64_t key = 0;
   std::uint64_t idx[kMaxHashFunctions];
   for (auto _ : state) {
@@ -76,27 +48,13 @@ void BM_IndexFamily(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexFamily)
-    ->ArgsProduct({{static_cast<int>(IndexStrategy::kDoubleHashing),
-                    static_cast<int>(IndexStrategy::kIndependentHashes),
-                    static_cast<int>(IndexStrategy::kTabulation)},
-                   {4, 10, 20}});
+BENCHMARK(BM_IndexFamily)->Arg(4)->Arg(10)->Arg(20);
 
-// The batched hash stage at each dispatch level: what the offer_batch
-// rings actually pay per key. Compare the kScalar rows against
-// BM_IndexFamily's double-hashing rows (per-key scalar calls) to see the
-// loop-overhead saving, and against the kAvx2/kAvx512 rows for the
-// vectorization saving. Levels above what the CPU supports are skipped.
+// The batched hash stage: what the offer_batch rings pay per key. Compare
+// against BM_IndexFamily (per-key calls) for the loop-overhead saving.
 void BM_IndicesBatch(benchmark::State& state) {
-  const auto strategy = static_cast<IndexStrategy>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  const auto level = static_cast<simd::Level>(state.range(2));
-  if (level > simd::detected_level()) {
-    state.SkipWithError("level unsupported on this CPU");
-    return;
-  }
-  simd::set_level_override(level);
-  IndexFamily family(k, 1u << 20, strategy, 7);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  IndexFamily family(k, 1u << 20, 7);
   constexpr std::size_t kKeys = 4096;
   std::vector<std::uint64_t> keys(kKeys);
   for (std::size_t i = 0; i < kKeys; ++i) keys[i] = i * 0x9e3779b97f4a7c15ull;
@@ -106,18 +64,10 @@ void BM_IndicesBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  simd::clear_level_override();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kKeys));
-  state.SetLabel(simd::level_name(level));
 }
-BENCHMARK(BM_IndicesBatch)
-    ->ArgsProduct({{static_cast<int>(IndexStrategy::kDoubleHashing),
-                    static_cast<int>(IndexStrategy::kCacheLineBlocked)},
-                   {4, 7},
-                   {static_cast<int>(simd::Level::kScalar),
-                    static_cast<int>(simd::Level::kAvx2),
-                    static_cast<int>(simd::Level::kAvx512)}});
+BENCHMARK(BM_IndicesBatch)->Arg(4)->Arg(7);
 
 }  // namespace
 

@@ -1,9 +1,9 @@
 // Sharded ingestion throughput: the trajectory bench for the parallel
 // batched hot path.
 //
-// Sweeps {1,2,4,8} threads × {1,4,16,64} shards × {GBF, blocked-GBF, TBF}
-// over one Zipf click stream (heavy-tailed duplicates, like real ad
-// traffic) and measures two ingestion modes per configuration:
+// Sweeps {1,2,4,8} threads × {1,4,16,64} shards × {GBF, TBF} over one
+// Zipf click stream (heavy-tailed duplicates, like real ad traffic) and
+// measures three ingestion modes per configuration:
 //   * offer  — the legacy path: one virtual call + one mutex acquisition
 //     per click, threads = 1 (this is the "single-thread mutex-per-offer
 //     baseline" every speedup is quoted against);
@@ -35,7 +35,6 @@
 #include "core/group_bloom_filter.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/timing_bloom_filter.hpp"
-#include "hashing/simd_fmix.hpp"
 #include "stream/rng.hpp"
 #include "stream/zipf.hpp"
 
@@ -60,23 +59,6 @@ core::ShardedDetector::Factory gbf_factory(std::size_t shards) {
     // Design-point fill (m ≈ 10·n for k=7), as in thm1_gbf_throughput.
     opts.bits_per_subfilter = 10 * (shard_window / kGbfQ);
     opts.hash_count = kHashes;
-    return std::make_unique<core::GroupBloomFilter>(
-        core::WindowSpec::jumping_count(shard_window, kGbfQ), opts);
-  };
-}
-
-/// Same geometry with cache-line-blocked probing: the alternative ingestion
-/// design point — k probes cost one cache line instead of k, trading ≈0.3pp
-/// of FPR (see hashing::IndexStrategy::kCacheLineBlocked). Its *baseline*
-/// speeds up too (fewer serialized misses per offer), so the batch-vs-offer
-/// ratio shrinks even as absolute throughput rises.
-core::ShardedDetector::Factory gbf_blocked_factory(std::size_t shards) {
-  const std::uint64_t shard_window = kGbfWindow / shards;
-  return [shard_window](std::size_t) {
-    core::GroupBloomFilter::Options opts;
-    opts.bits_per_subfilter = 10 * (shard_window / kGbfQ);
-    opts.hash_count = kHashes;
-    opts.strategy = hashing::IndexStrategy::kCacheLineBlocked;
     return std::make_unique<core::GroupBloomFilter>(
         core::WindowSpec::jumping_count(shard_window, kGbfQ), opts);
   };
@@ -154,9 +136,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.scaled(std::uint64_t{1} << 22));
   const auto ids = make_stream(stream_len);
 
-  const Algo algos[] = {{"gbf", &gbf_factory},
-                        {"gbfblk", &gbf_blocked_factory},
-                        {"tbf", &tbf_factory}};
+  const Algo algos[] = {{"gbf", &gbf_factory}, {"tbf", &tbf_factory}};
   const std::size_t shard_counts[] = {1, 4, 16, 64};
   std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   if (args.threads > 0) {
@@ -172,20 +152,14 @@ int main(int argc, char** argv) {
                 static_cast<double>(runtime::ThreadPool::hardware_threads()));
   json.set_meta("cpu_model", benchutil::cpu_model_string());
   std::printf("sharded ingestion: %zu clicks, batch=%zu, gbf window=%llu, "
-              "tbf window=%llu (hardware threads: %zu, simd: %s, "
-              "detected: %s)\n\n",
+              "tbf window=%llu (hardware threads: %zu)\n\n",
               ids.size(), kBatch,
               static_cast<unsigned long long>(kGbfWindow),
               static_cast<unsigned long long>(kTbfWindow),
-              runtime::ThreadPool::hardware_threads(),
-              hashing::simd::level_name(hashing::simd::active_level()),
-              hashing::simd::level_name(hashing::simd::detected_level()));
-  // batch-s = batch path with the SIMD kernels pinned to their scalar arm
-  // (the PR-1 hash stage); batch = default dispatch; engine = the SPSC
-  // owner engine (default dispatch). The last column is the row's gain
-  // over its reference arm: batch over batch-s (the vectorized hash
-  // stage's contribution alone), engine over batch (the lock-free
-  // engine's contribution alone — same SIMD level, same memory traffic).
+              runtime::ThreadPool::hardware_threads());
+  // batch = the mutex offer_batch path; engine = the SPSC owner engine.
+  // The last column is the engine's gain over batch (the lock-free
+  // engine's contribution alone — same hashing, same memory traffic).
   std::printf("%6s %7s %8s %8s %12s %9s %9s\n", "algo", "shards", "mode",
               "threads", "Mclicks/s", "speedup", "gain");
   benchutil::print_rule(6, 9);
@@ -221,7 +195,6 @@ int main(int argc, char** argv) {
                   "offer", 1, offer_cps / 1e6, 1.0, "-");
       json.add(algo.name, {{"shards", static_cast<double>(shards)},
                            {"mode_batch", 0},
-                           {"simd", 0},
                            {"threads", 1},
                            {"clicks", static_cast<double>(ids.size())},
                            {"mclicks_per_s", offer_cps / 1e6},
@@ -239,63 +212,35 @@ int main(int argc, char** argv) {
         run_batch(d, ids);  // warm up filters + caches once for all arms
         run_batch(e, ids);
 
-        // Three arms, INTERLEAVED rep-by-rep so the shared-host clock
-        // drift (turbo decay / CPU-credit burn over an 8-minute run) hits
-        // all equally — arm-after-arm ordering showed a phantom ±10% skew
-        // on whichever arm ran second:
-        //   scalar — hash kernels pinned to their scalar arm: exactly the
-        //            PR-1 pipeline, the reference the SIMD gain is quoted
-        //            over;
-        //   simd   — default dispatch (AVX2 cap; see simd::active_level);
-        //   engine — the SPSC owner engine, default dispatch: its gain
-        //            over `simd` isolates the mutex-vs-lock-free delta.
-        double scalar_cps = 0;
+        // Two arms, INTERLEAVED rep-by-rep so the shared-host clock drift
+        // (turbo decay / CPU-credit burn over an 8-minute run) hits both
+        // equally — arm-after-arm ordering showed a phantom ±10% skew on
+        // whichever arm ran second.
         double batch_cps = 0;
         double engine_cps = 0;
         for (int rep = 0; rep < kReps; ++rep) {
-          hashing::simd::set_level_override(hashing::simd::Level::kScalar);
-          d.reset();
-          scalar_cps = std::max(scalar_cps, run_batch(d, ids));
-          hashing::simd::clear_level_override();
           d.reset();
           batch_cps = std::max(batch_cps, run_batch(d, ids));
           e.reset();
           engine_cps = std::max(engine_cps, run_batch(e, ids));
         }
 
-        const double scalar_speedup = scalar_cps / offer_cps;
         const double speedup = batch_cps / offer_cps;
-        const double simd_gain = batch_cps / scalar_cps;
         const double engine_gain = engine_cps / batch_cps;
         std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9s\n", algo.name,
-                    shards, "batch-s", threads, scalar_cps / 1e6,
-                    scalar_speedup, "1.00");
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
-                    shards, "batch", threads, batch_cps / 1e6, speedup,
-                    simd_gain);
+                    shards, "batch", threads, batch_cps / 1e6, speedup, "-");
         std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
                     shards, "engine", threads, engine_cps / 1e6,
                     engine_cps / offer_cps, engine_gain);
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
-                             {"simd", 0},
-                             {"engine", 0},
-                             {"threads", static_cast<double>(threads)},
-                             {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", scalar_cps / 1e6},
-                             {"speedup_vs_mutex_offer", scalar_speedup}});
-        json.add(algo.name, {{"shards", static_cast<double>(shards)},
-                             {"mode_batch", 1},
-                             {"simd", 1},
                              {"engine", 0},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},
                              {"mclicks_per_s", batch_cps / 1e6},
-                             {"speedup_vs_mutex_offer", speedup},
-                             {"simd_gain_vs_scalar_batch", simd_gain}});
+                             {"speedup_vs_mutex_offer", speedup}});
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
-                             {"simd", 1},
                              {"engine", 1},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},

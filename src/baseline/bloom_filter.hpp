@@ -14,10 +14,8 @@ class BloomFilter {
  public:
   /// @param bits m, @param hash_count k.
   BloomFilter(std::uint64_t bits, std::size_t hash_count,
-              hashing::IndexStrategy strategy =
-                  hashing::IndexStrategy::kDoubleHashing,
               std::uint64_t seed = 0)
-      : family_(hash_count, bits, strategy, seed), bits_(bits) {}
+      : family_(hash_count, bits, seed), bits_(bits) {}
 
   /// True iff all k bits for `key` are set (possible false positive).
   bool contains(std::uint64_t key) const {

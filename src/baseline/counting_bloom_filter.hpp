@@ -22,11 +22,8 @@ class CountingBloomFilter {
   /// @param cells number of counters, @param counter_bits width per counter
   /// (4 in the original Summary Cache design), @param hash_count k.
   CountingBloomFilter(std::uint64_t cells, std::size_t counter_bits,
-                      std::size_t hash_count,
-                      hashing::IndexStrategy strategy =
-                          hashing::IndexStrategy::kDoubleHashing,
-                      std::uint64_t seed = 0)
-      : family_(hash_count, cells, strategy, seed),
+                      std::size_t hash_count, std::uint64_t seed = 0)
+      : family_(hash_count, cells, seed),
         counters_(cells, counter_bits, 0),
         saturated_(cells, 1, 0) {}
 

@@ -19,13 +19,12 @@ class LandmarkBloomDetector final : public core::DuplicateDetector {
   struct Options {
     std::uint64_t bits = 1u << 20;
     std::size_t hash_count = 7;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 
   LandmarkBloomDetector(core::WindowSpec window, Options opts)
       : window_(window),
-        filter_(opts.bits, opts.hash_count, opts.strategy, opts.seed) {
+        filter_(opts.bits, opts.hash_count, opts.seed) {
     if (window_.kind != core::WindowKind::kLandmark) {
       throw std::invalid_argument(
           "LandmarkBloomDetector: window must be landmark");

@@ -8,8 +8,7 @@ MetwallyJumpingDetector::MetwallyJumpingDetector(core::WindowSpec window,
                                                  Options opts)
     : window_(window),
       opts_(opts),
-      main_(opts.cells, opts.main_counter_bits, opts.hash_count, opts.strategy,
-            opts.seed) {
+      main_(opts.cells, opts.main_counter_bits, opts.hash_count, opts.seed) {
   if (window_.kind != core::WindowKind::kJumping ||
       window_.basis != core::WindowBasis::kCount) {
     throw std::invalid_argument(
@@ -20,7 +19,7 @@ MetwallyJumpingDetector::MetwallyJumpingDetector(core::WindowSpec window,
   subs_.reserve(window_.subwindows);
   for (std::uint32_t q = 0; q < window_.subwindows; ++q) {
     subs_.emplace_back(opts.cells, opts.sub_counter_bits, opts.hash_count,
-                       opts.strategy, opts.seed);
+                       opts.seed);
   }
 }
 

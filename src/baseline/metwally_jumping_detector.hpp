@@ -36,7 +36,6 @@ class MetwallyJumpingDetector final : public core::DuplicateDetector {
     std::size_t sub_counter_bits = 4;
     std::size_t main_counter_bits = 8;
     std::size_t hash_count = 7;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 

@@ -26,14 +26,12 @@ class MetwallySlidingDetector final : public core::DuplicateDetector {
     std::uint64_t cells = 1u << 20;
     std::size_t counter_bits = 4;
     std::size_t hash_count = 7;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 
   MetwallySlidingDetector(core::WindowSpec window, Options opts)
       : window_(window),
-        filter_(opts.cells, opts.counter_bits, opts.hash_count, opts.strategy,
-                opts.seed) {
+        filter_(opts.cells, opts.counter_bits, opts.hash_count, opts.seed) {
     if (window_.kind != core::WindowKind::kSliding ||
         window_.basis != core::WindowBasis::kCount) {
       throw std::invalid_argument(

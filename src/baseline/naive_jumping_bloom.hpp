@@ -22,15 +22,13 @@ class NaiveJumpingBloomDetector final : public core::DuplicateDetector {
   struct Options {
     std::uint64_t bits_per_subfilter = 1u << 20;
     std::size_t hash_count = 7;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 
   NaiveJumpingBloomDetector(core::WindowSpec window, Options opts)
       : window_(window),
         opts_(opts),
-        family_(opts.hash_count, opts.bits_per_subfilter, opts.strategy,
-                opts.seed) {
+        family_(opts.hash_count, opts.bits_per_subfilter, opts.seed) {
     if (window_.kind != core::WindowKind::kJumping ||
         window_.basis != core::WindowBasis::kCount) {
       throw std::invalid_argument(

@@ -23,7 +23,6 @@ class StableBloomFilter final : public core::DuplicateDetector {
     std::size_t cell_bits = 3;   // d; Max = 2^d - 1
     std::size_t hash_count = 7;  // k
     std::size_t decrements_per_arrival = 10;  // P
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
 
     /// Max, the value fresh inserts are pinned to: 2^d - 1.
@@ -39,7 +38,7 @@ class StableBloomFilter final : public core::DuplicateDetector {
   StableBloomFilter(core::WindowSpec window, Options opts)
       : window_(window),
         opts_(opts),
-        family_(opts.hash_count, opts.cells, opts.strategy, opts.seed),
+        family_(opts.hash_count, opts.cells, opts.seed),
         cells_(opts.cells, opts.cell_bits, 0),
         prng_state_(opts.seed ^ 0x5b1e55ed) {}
 

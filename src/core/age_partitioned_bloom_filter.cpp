@@ -46,8 +46,7 @@ AgePartitionedBloomFilter::AgePartitionedBloomFilter(WindowSpec window,
       gen_span_(0),
       words_per_slice_(
           static_cast<std::size_t>(ceil_div(opts.bits_per_slice, kWordBits))),
-      family_(checked_hash_count(opts), opts.bits_per_slice, opts.strategy,
-              opts.seed),
+      family_(checked_hash_count(opts), opts.bits_per_slice, opts.seed),
       words_() {
   window_.validate();
   if (window_.kind != WindowKind::kSliding) {
@@ -59,16 +58,6 @@ AgePartitionedBloomFilter::AgePartitionedBloomFilter(WindowSpec window,
     throw std::invalid_argument(
         "AgePartitionedBloomFilter: bits_per_slice must be positive");
   }
-  if (opts.strategy == hashing::IndexStrategy::kCacheLineBlocked) {
-    // Blocked probing confines all k+l indices to one aligned 8-index
-    // block, but each index lands in a DIFFERENT slice here — the one-line
-    // property buys nothing and the correlated per-slice offsets inflate
-    // the FPR far past the analysis.
-    throw std::invalid_argument(
-        "AgePartitionedBloomFilter: kCacheLineBlocked derives one cache-line "
-        "block per key, which cannot feed k+l independent per-slice indices");
-  }
-
   if (window_.basis == WindowBasis::kCount) {
     // l generations of g arrivals must cover the last N arrivals.
     gen_span_ = ceil_div(window_.length, l_);
@@ -272,8 +261,8 @@ void AgePartitionedBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void AgePartitionedBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                                   std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
-  // IndexFamily::indices_batch path (same ring as GBF/TBF) and keeps one
+  // Software pipeline: the ring block-hashes ids through
+  // IndexFamily::indices_batch (same ring as GBF/TBF) and keeps one
   // hashed-and-prefetched block ahead of classification, so the slices have
   // a block's worth of probe words in flight instead of one element's k+l.
   const auto prefetch = [&](const std::uint64_t* idx) { prefetch_idx(idx); };
@@ -331,7 +320,7 @@ void AgePartitionedBloomFilter::write_state(std::ostream& out) const {
   detail::write_u64(out, bits_per_slice_);
   detail::write_u64(out, k_);
   detail::write_u64(out, l_);
-  detail::write_u64(out, static_cast<std::uint64_t>(family_.strategy()));
+  detail::write_index_strategy(out);
   detail::write_u64(out, family_.seed());
   detail::write_u64(out, youngest_);
   detail::write_u64(out, youngest_hash_);
@@ -365,7 +354,7 @@ void AgePartitionedBloomFilter::read_header(std::istream& in,
   opts.bits_per_slice = detail::read_u64(in);
   opts.consecutive = static_cast<std::size_t>(detail::read_u64(in));
   opts.generations = static_cast<std::size_t>(detail::read_u64(in));
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
+  detail::expect_index_strategy(in, "AgePartitionedBloomFilter");
   opts.seed = detail::read_u64(in);
 }
 
@@ -413,11 +402,10 @@ void AgePartitionedBloomFilter::restore(std::istream& in) {
         window_.describe() + "]");
   }
   if (opts.bits_per_slice != bits_per_slice_ || opts.consecutive != k_ ||
-      opts.generations != l_ || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
+      opts.generations != l_ || opts.seed != family_.seed()) {
     throw std::runtime_error(
         "AgePartitionedBloomFilter::restore: snapshot filter options "
-        "(m/k/l/strategy/seed) do not match this instance");
+        "(m/k/l/seed) do not match this instance");
   }
   read_state(body);
 }

@@ -67,16 +67,13 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
     /// the window) but adds slices — more probes and, at fixed total
     /// memory, smaller m per slice.
     std::size_t generations = 8;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 
   /// @param window sliding window, count or time basis (the age-partitioned
   ///        design IS a sliding window; jumping/landmark windows belong to
   ///        GroupBloomFilter).
-  /// @throws std::invalid_argument on inconsistent window/options,
-  ///         including kCacheLineBlocked (one line per probe set cannot
-  ///         feed k + ℓ distinct per-slice functions).
+  /// @throws std::invalid_argument on inconsistent window/options.
   AgePartitionedBloomFilter(WindowSpec window, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;

@@ -21,7 +21,6 @@ std::unique_ptr<DuplicateDetector> make_gbf(const WindowSpec& window,
   GroupBloomFilter::Options opts;
   opts.bits_per_subfilter = m;
   opts.hash_count = budget.hash_count;
-  opts.strategy = budget.strategy;
   opts.seed = budget.seed;
   return std::make_unique<GroupBloomFilter>(window, opts);
 }
@@ -42,7 +41,6 @@ std::unique_ptr<DuplicateDetector> make_tbf(const WindowSpec& window,
   opts.entries = entries;
   opts.hash_count = budget.hash_count;
   opts.c = budget.tbf_c;
-  opts.strategy = budget.strategy;
   opts.seed = budget.seed;
   return std::make_unique<TimingBloomFilter>(window, opts);
 }
@@ -62,7 +60,6 @@ std::unique_ptr<DuplicateDetector> make_apbf(const WindowSpec& window,
         "make_detector: memory budget below one bit per APBF slice");
   }
   opts.bits_per_slice = m;
-  opts.strategy = budget.strategy;
   opts.seed = budget.seed;
   return std::make_unique<AgePartitionedBloomFilter>(window, opts);
 }

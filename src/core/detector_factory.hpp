@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "core/duplicate_detector.hpp"
-#include "hashing/index_family.hpp"
 
 namespace ppc::core {
 
@@ -49,7 +48,6 @@ struct DetectorBudget {
   /// APBF ℓ (retired generations covered). Window-boundary slack is ≈ 1/ℓ
   /// of the window; each extra generation costs one more m-bit slice.
   std::size_t apbf_generations = 8;
-  hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
   std::uint64_t seed = 0;
 };
 

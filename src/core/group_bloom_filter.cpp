@@ -23,8 +23,7 @@ GroupBloomFilter::GroupBloomFilter(WindowSpec window, Options opts)
       bits_per_subfilter_(opts.bits_per_subfilter),
       subwindows_(window.kind == WindowKind::kLandmark ? 1u
                                                        : window.subwindows),
-      family_(opts.hash_count, opts.bits_per_subfilter, opts.strategy,
-              opts.seed),
+      family_(opts.hash_count, opts.bits_per_subfilter, opts.seed),
       matrix_(opts.bits_per_subfilter, subwindows_ + 1) {
   if (window.kind == WindowKind::kSliding) {
     throw std::invalid_argument(
@@ -185,20 +184,16 @@ void GroupBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void GroupBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                          std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
-  // IndexFamily::indices_batch path and keeps one hashed-and-prefetched
+  // Software pipeline: the ring block-hashes ids through
+  // IndexFamily::indices_batch and keeps one hashed-and-prefetched
   // block ahead of classification, so a DRAM-resident filter has a block's
   // worth of probe lines in flight instead of stalling on each element's k
   // misses in turn. Write intent on the prefetch because a fresh element
   // inserts into the very rows it probed.
   const std::size_t k = family_.k();
   const std::size_t n = ids.size();
-  // Blocked probing confines all k rows to one cache line — one prefetch
-  // covers the whole probe set.
-  const std::size_t prefetches =
-      family_.strategy() == hashing::IndexStrategy::kCacheLineBlocked ? 1 : k;
   const auto prefetch_rows = [&](const std::uint64_t* r) {
-    for (std::size_t h = 0; h < prefetches; ++h) {
+    for (std::size_t h = 0; h < k; ++h) {
       matrix_.prefetch_row_write(static_cast<std::size_t>(r[h]));
     }
   };
@@ -271,10 +266,8 @@ void GroupBloomFilter::offer_batch_time(std::span<const ClickId> ids,
   // exactly. `times == nullptr` means the caller already advanced time
   // for the whole batch (scalar-time overload).
   const std::size_t k = family_.k();
-  const std::size_t prefetches =
-      family_.strategy() == hashing::IndexStrategy::kCacheLineBlocked ? 1 : k;
   const auto prefetch_rows = [&](const std::uint64_t* r) {
-    for (std::size_t h = 0; h < prefetches; ++h) {
+    for (std::size_t h = 0; h < k; ++h) {
       matrix_.prefetch_row_write(static_cast<std::size_t>(r[h]));
     }
   };
@@ -301,7 +294,7 @@ void GroupBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, window_.time_unit_us);
   detail::write_u64(out, bits_per_subfilter_);
   detail::write_u64(out, family_.k());
-  detail::write_u64(out, static_cast<std::uint64_t>(family_.strategy()));
+  detail::write_index_strategy(out);
   detail::write_u64(out, family_.seed());
   detail::write_u64(out, current_);
   detail::write_u64(out, cleaning_);
@@ -324,7 +317,7 @@ void GroupBloomFilter::read_header(std::istream& in, WindowSpec& window,
   window.time_unit_us = detail::read_u64(in);
   opts.bits_per_subfilter = detail::read_u64(in);
   opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
+  detail::expect_index_strategy(in, "GroupBloomFilter");
   opts.seed = detail::read_u64(in);
 }
 
@@ -358,11 +351,10 @@ void GroupBloomFilter::restore(std::istream& in) {
         "] does not match this instance [" + window_.describe() + "]");
   }
   if (opts.bits_per_subfilter != bits_per_subfilter_ ||
-      opts.hash_count != family_.k() || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
+      opts.hash_count != family_.k() || opts.seed != family_.seed()) {
     throw std::runtime_error(
-        "GroupBloomFilter::restore: snapshot filter options (m/k/strategy/"
-        "seed) do not match this instance");
+        "GroupBloomFilter::restore: snapshot filter options (m/k/seed) do "
+        "not match this instance");
   }
   read_state(in);
 }

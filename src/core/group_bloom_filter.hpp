@@ -39,7 +39,6 @@ class GroupBloomFilter final : public DuplicateDetector {
     std::uint64_t bits_per_subfilter = 1u << 20;
     /// Number of hash functions k.
     std::size_t hash_count = 7;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 

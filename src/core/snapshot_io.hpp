@@ -75,6 +75,20 @@ inline void expect_magic(std::istream& in, std::uint64_t magic,
   }
 }
 
+/// The filter headers keep a word that once named the index strategy.
+/// Double hashing, written as 0, is the only derivation left; any other
+/// value describes a filter this build cannot reproduce.
+inline void write_index_strategy(std::ostream& out) { write_u64(out, 0); }
+
+inline void expect_index_strategy(std::istream& in, const char* what) {
+  const std::uint64_t word = read_u64(in);
+  if (word != 0) {
+    throw std::runtime_error(std::string("snapshot: ") + what +
+                             " index strategy " + std::to_string(word) +
+                             " is not supported (only 0, double hashing)");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Versioned, CRC-checked composite sections.
 //

@@ -82,7 +82,7 @@ TimingBloomFilter::TimingBloomFilter(WindowSpec window, Options opts)
       c_(opts.c),
       wrap_(0),
       empty_(0),
-      family_(opts.hash_count, opts.entries, opts.strategy, opts.seed),
+      family_(opts.hash_count, opts.entries, opts.seed),
       table_() {
   if (opts.entries == 0) {
     throw std::invalid_argument("TimingBloomFilter: entries must be positive");
@@ -261,8 +261,8 @@ void TimingBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void TimingBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                           std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
-  // IndexFamily::indices_batch path (same ring as GroupBloomFilter) and
+  // Software pipeline: the ring block-hashes ids through
+  // IndexFamily::indices_batch (same ring as GroupBloomFilter) and
   // keeps one hashed-and-prefetched block ahead of classification, so the
   // table has a block's worth of timestamp entries in flight instead of
   // one element's.
@@ -320,7 +320,7 @@ void TimingBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, table_.size());
   detail::write_u64(out, family_.k());
   detail::write_u64(out, c_);
-  detail::write_u64(out, static_cast<std::uint64_t>(family_.strategy()));
+  detail::write_index_strategy(out);
   detail::write_u64(out, family_.seed());
   detail::write_u64(out, pos_);
   detail::write_u64(out, arrivals_in_tick_);
@@ -342,7 +342,7 @@ void TimingBloomFilter::read_header(std::istream& in, WindowSpec& window,
   opts.entries = detail::read_u64(in);
   opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
   opts.c = detail::read_u64(in);
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
+  detail::expect_index_strategy(in, "TimingBloomFilter");
   opts.seed = detail::read_u64(in);
 }
 
@@ -375,11 +375,10 @@ void TimingBloomFilter::restore(std::istream& in) {
         "] does not match this instance [" + window_.describe() + "]");
   }
   if (opts.entries != table_.size() || opts.hash_count != family_.k() ||
-      opts.c != c_ || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
+      opts.c != c_ || opts.seed != family_.seed()) {
     throw std::runtime_error(
-        "TimingBloomFilter::restore: snapshot filter options (m/k/C/strategy/"
-        "seed) do not match this instance");
+        "TimingBloomFilter::restore: snapshot filter options (m/k/C/seed) do "
+        "not match this instance");
   }
   read_state(in);
 }

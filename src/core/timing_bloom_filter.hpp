@@ -48,7 +48,6 @@ class TimingBloomFilter final : public DuplicateDetector {
     /// default C = window_ticks - 1 (clamped to ≥ 1). Larger C trades
     /// entry bits for a cheaper per-element cleaning scan.
     std::uint64_t c = 0;
-    hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
 

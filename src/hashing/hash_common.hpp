@@ -32,7 +32,8 @@ constexpr std::uint64_t fmix64(std::uint64_t k) noexcept {
 }
 
 /// SplitMix64 step: the canonical way to expand one 64-bit seed into a
-/// stream of well-distributed words (used for seeding tabulation tables).
+/// stream of well-distributed words (seeds stream::Rng and the stable
+/// Bloom filter's decrement PRNG).
 constexpr std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;

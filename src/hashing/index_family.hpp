@@ -1,24 +1,20 @@
 // IndexFamily: turns one click identifier into the k filter indices that
 // every Bloom-filter variant in this library consumes.
 //
-// Default strategy is Kirsch–Mitzenmacher double hashing: one 128-bit
-// Murmur3 call yields (h1, h2), and index_i = (h1 + i*h2) mod range. This
-// preserves the asymptotic false-positive rate of k independent hash
-// functions while costing a single hash evaluation per element — exactly the
-// operation-count regime the paper assumes. Two alternative strategies exist
-// so the test suite can show results are not an artifact of one scheme.
+// Kirsch–Mitzenmacher double hashing: two fmix64 chains over the 64-bit
+// key yield (h1, h2), and index_i = (h1 + i*h2) mod range. This preserves
+// the asymptotic false-positive rate of k independent hash functions while
+// costing a single hash evaluation per element — exactly the
+// operation-count regime the paper assumes. tests/hashing_test.cpp runs the
+// same uniformity checks against k independent XXH64 evaluations and
+// against tabulation hashing, so results are not an artifact of one scheme.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "hashing/hash_common.hpp"
-#include "hashing/murmur3.hpp"
-#include "hashing/tabulation.hpp"
-#include "hashing/xxhash.hpp"
 
 namespace ppc::hashing {
 
@@ -26,145 +22,56 @@ namespace ppc::hashing {
 /// 64 leaves generous headroom while letting callers use fixed-size buffers.
 inline constexpr std::size_t kMaxHashFunctions = 64;
 
-enum class IndexStrategy {
-  /// Kirsch–Mitzenmacher: two Murmur3 halves, index_i = h1 + i*h2 (default).
-  kDoubleHashing,
-  /// k fully independent XXH64 evaluations with distinct seeds (slow, used
-  /// to validate that double hashing does not distort FP rates).
-  kIndependentHashes,
-  /// Double hashing over two seeded tabulation hashes (3-independent family;
-  /// only meaningful for 64-bit keys, byte keys are pre-compressed).
-  kTabulation,
-  /// Cache-line-blocked probing (Putze et al.'s blocked Bloom filter,
-  /// RocksDB-style): h1 picks one aligned block of 8 consecutive indices —
-  /// one 64-byte line in a word-per-index filter — and h2 double-hashes
-  /// *within* the block with an odd step, so all k ≤ 8 probes are distinct
-  /// and land on the same line. Turns k cache misses per key into one, at
-  /// the cost of a slightly higher false-positive rate from per-block load
-  /// variance (≈ +0.2–0.5 pp at the m/n = 10, k = 7 design point). Requires
-  /// range ≥ 8 and k ≤ 8.
-  kCacheLineBlocked,
-};
-
 /// Produces k indices in [0, range) for a key. Immutable after construction;
 /// safe to share across threads.
 class IndexFamily {
  public:
   /// @param k      number of indices per key, in [1, kMaxHashFunctions].
   /// @param range  exclusive upper bound of produced indices; must be > 0.
-  ///               kCacheLineBlocked probes whole aligned 8-index blocks,
-  ///               so a range that is not a multiple of 8 is rounded DOWN
-  ///               to one (range() reports the rounded value) — otherwise
-  ///               the trailing range%8 indices would be silently
-  ///               unreachable and the effective filter smaller than the m
-  ///               every FPR formula was fed.
-  /// @param strategy index-derivation strategy (see IndexStrategy).
   /// @param seed   salts the whole family; two families with different seeds
   ///               behave as unrelated hash functions.
-  IndexFamily(std::size_t k, std::uint64_t range,
-              IndexStrategy strategy = IndexStrategy::kDoubleHashing,
-              std::uint64_t seed = 0);
+  IndexFamily(std::size_t k, std::uint64_t range, std::uint64_t seed = 0);
 
   std::size_t k() const noexcept { return k_; }
   std::uint64_t range() const noexcept { return range_; }
-  IndexStrategy strategy() const noexcept { return strategy_; }
   std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Writes the k indices for a byte-string key into `out` (size ≥ k).
-  void indices(Bytes key, std::span<std::uint64_t> out) const noexcept;
-
-  /// Fast path for 64-bit identifiers (the common click-id representation).
-  /// Inline: this sits inside the batched ingestion pipeline, where an
-  /// out-of-line call (plus the strategy switch it can't fold) is a
-  /// measurable per-click cost.
+  /// Writes the k indices of `key` into `out` (size ≥ k). Inline: the
+  /// per-click offer paths call it once per click.
   void indices(std::uint64_t key, std::span<std::uint64_t> out) const noexcept {
-    switch (strategy_) {
-      case IndexStrategy::kDoubleHashing: {
-        // One fmix chain per half is cheaper than a full Murmur pass over
-        // the 8-byte buffer and keeps identical statistical behaviour.
-        const std::uint64_t h1 = fmix64(key ^ seed_);
-        const std::uint64_t h2 = fmix64(h1 ^ 0xc4ceb9fe1a85ec53ULL);
-        fill_double_hashing(Hash128{h1, h2}, out);
-        return;
-      }
-      case IndexStrategy::kIndependentHashes:
-        indices_independent_u64(key, out);
-        return;
-      case IndexStrategy::kTabulation:
-        fill_double_hashing(
-            Hash128{(*tab1_)(key ^ seed_), (*tab2_)(key ^ seed_)}, out);
-        return;
-      case IndexStrategy::kCacheLineBlocked: {
-        const std::uint64_t h1 = fmix64(key ^ seed_);
-        const std::uint64_t h2 = fmix64(h1 ^ 0xc4ceb9fe1a85ec53ULL);
-        fill_blocked(Hash128{h1, h2}, out);
-        return;
-      }
-    }
+    assert(out.size() >= k_);
+    derive(key, seed_, k_, range_, out.data());
   }
 
-  /// Convenience allocation-friendly variant used by tests.
-  std::vector<std::uint64_t> indices(Bytes key) const;
-
-  /// Multi-key fast path for contiguous 64-bit identifiers: writes the k
-  /// indices of every key into `out`, key-major (`out[i*k + j]` is key i's
-  /// j-th index; out.size() ≥ keys.size()·k). Bit-identical to calling the
-  /// u64 `indices` overload per key — the double-hashing and blocked
-  /// strategies dispatch to the SIMD fmix64 kernels (4–8 keys per vector,
-  /// see hashing/simd_fmix.hpp), whose every arm preserves exact index
-  /// parity; the validation strategies take the scalar loop.
+  /// Multi-key path for contiguous identifiers: writes the k indices of
+  /// every key into `out`, key-major (`out[i*k + j]` is key i's j-th index;
+  /// out.size() ≥ keys.size()·k). Bit-identical to calling `indices` per
+  /// key; out of line so it compiles at -O3 with the geometry in registers.
   void indices_batch(std::span<const std::uint64_t> keys,
                      std::span<std::uint64_t> out) const noexcept;
 
  private:
-  /// Lemire fast range reduction: maps a uniform 64-bit value onto
-  /// [0, range) without the modulo bias or latency of integer division.
-  static std::uint64_t fast_range(std::uint64_t x,
-                                  std::uint64_t range) noexcept {
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(x) * range) >> 64);
-  }
-
-  void fill_double_hashing(Hash128 h,
-                           std::span<std::uint64_t> out) const noexcept {
-    assert(out.size() >= k_);
+  /// The derivation itself. Takes the geometry as arguments so the batch
+  /// loop keeps it in registers instead of reloading it past every store.
+  static void derive(std::uint64_t key, std::uint64_t seed, std::size_t k,
+                     std::uint64_t range, std::uint64_t* out) noexcept {
+    const std::uint64_t h1 = fmix64(key ^ seed);
     // Force h2 odd: guarantees all k probes are distinct modulo any power
     // of two range and avoids the degenerate h2 == 0 family.
-    const std::uint64_t step = h.hi | 1u;
-    std::uint64_t acc = h.lo;
-    for (std::size_t i = 0; i < k_; ++i) {
-      out[i] = fast_range(acc, range_);
+    const std::uint64_t step = fmix64(h1 ^ 0xc4ceb9fe1a85ec53ULL) | 1u;
+    std::uint64_t acc = h1;
+    for (std::size_t j = 0; j < k; ++j) {
+      // Lemire fast range reduction: maps a uniform 64-bit value onto
+      // [0, range) without the modulo bias or latency of integer division.
+      out[j] = static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(acc) * range) >> 64);
       acc += step;
     }
   }
 
-  void fill_blocked(Hash128 h, std::span<std::uint64_t> out) const noexcept {
-    assert(out.size() >= k_);
-    // h1 picks the aligned 8-index block (the cache line); h2 supplies a
-    // base offset and an odd step, so the k ≤ 8 in-block probes are all
-    // distinct (an odd step generates Z/8) and the probe set costs one
-    // line.
-    const std::uint64_t base = fast_range(h.lo, range_ / 8) * 8;
-    std::uint64_t off = h.hi & 7;
-    const std::uint64_t step = h.hi >> 3 | 1;
-    for (std::size_t i = 0; i < k_; ++i) {
-      out[i] = base + off;
-      off = (off + step) & 7;
-    }
-  }
-
-  void fill_independent(Bytes key, std::span<std::uint64_t> out) const noexcept;
-  /// Out-of-line cold half of the u64 overload (validation strategy only).
-  void indices_independent_u64(std::uint64_t key,
-                               std::span<std::uint64_t> out) const noexcept;
-
   std::size_t k_;
   std::uint64_t range_;
-  IndexStrategy strategy_;
   std::uint64_t seed_;
-  // Only materialized for kTabulation (two 16 KiB tables).
-  std::unique_ptr<TabulationHash64> tab1_;
-  std::unique_ptr<TabulationHash64> tab2_;
 };
 
 }  // namespace ppc::hashing

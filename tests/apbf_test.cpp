@@ -84,9 +84,6 @@ TEST(Apbf, RejectsNonSlidingWindowsAndBadOptions) {
                std::invalid_argument);
   EXPECT_THROW(AgePartitionedBloomFilter(w, small_opts(1u << 10, 40, 30)),
                std::invalid_argument);  // k + l > 64 hash functions
-  auto blocked = small_opts();
-  blocked.strategy = hashing::IndexStrategy::kCacheLineBlocked;
-  EXPECT_THROW(AgePartitionedBloomFilter(w, blocked), std::invalid_argument);
 }
 
 // ---------------------------------------------- zero FN / FPR vs oracle
@@ -127,6 +124,30 @@ TEST(Apbf, TimeBasisHasZeroFalseNegativesAgainstOracle) {
       << "zero-FN theorem violated inside the covered time window";
   EXPECT_GT(counts.true_duplicate, 0u);
   EXPECT_LT(counts.false_positive_rate(), 0.05);
+}
+
+// The window edge at every phase of a generation: ℓ generations of
+// ceil(W/ℓ) units must cover a W-unit window even when ℓ does not divide W.
+// An id offered at any unit and re-offered W - 1 units later is still
+// inside the window, so the re-offer must read as a duplicate.
+TEST(Apbf, TimeBasisRemembersToTheWindowEdgeAtEveryPhase) {
+  constexpr std::uint64_t kUnitUs = 1'000;
+  constexpr ClickId kAnchor = 1, kId = 0xbeef;
+  const auto opts = small_opts(1u << 14, 4, 8);
+  for (const std::uint64_t window_units : {100u, 77u}) {
+    const auto window =
+        WindowSpec::sliding_time(window_units * kUnitUs, kUnitUs);
+    const std::uint64_t span =
+        AgePartitionedBloomFilter(window, opts).generation_span();
+    for (std::uint64_t start = 0; start < 2 * span; ++start) {
+      AgePartitionedBloomFilter f(window, opts);
+      ASSERT_FALSE(f.offer(kAnchor, 0));  // the clock starts at unit 0
+      ASSERT_FALSE(f.offer(kId, start * kUnitUs));
+      EXPECT_TRUE(f.offer(kId, (start + window_units - 1) * kUnitUs))
+          << "W=" << window_units << " units, id offered at unit " << start
+          << " (phase " << start % span << " of " << span << ")";
+    }
+  }
 }
 
 TEST(Apbf, ForgetsAfterCoveredSpanPlusSlack) {

@@ -73,14 +73,11 @@ TEST(CountingBloom, InsertEraseRoundTrip) {
 }
 
 TEST(CountingBloom, AddThenSubtractRestoresState) {
-  CountingBloomFilter a(1 << 12, 6, 4, hashing::IndexStrategy::kDoubleHashing,
-                        1);
-  CountingBloomFilter b(1 << 12, 6, 4, hashing::IndexStrategy::kDoubleHashing,
-                        1);
+  CountingBloomFilter a(1 << 12, 6, 4, 1);
+  CountingBloomFilter b(1 << 12, 6, 4, 1);
   for (std::uint64_t i = 0; i < 100; ++i) a.insert(i);
   for (std::uint64_t i = 100; i < 200; ++i) b.insert(i);
-  CountingBloomFilter main(1 << 12, 6, 4,
-                           hashing::IndexStrategy::kDoubleHashing, 1);
+  CountingBloomFilter main(1 << 12, 6, 4, 1);
   main.add(a);
   main.add(b);
   EXPECT_TRUE(main.contains(50));
@@ -111,10 +108,8 @@ TEST(CountingBloom, CellCountMismatchThrows) {
 
 TEST(CountingBloom, MixedWidthAddSubtractWorks) {
   // Main filter wider than the sub-window filter, as in the Metwally scheme.
-  CountingBloomFilter sub(1 << 10, 4, 3, hashing::IndexStrategy::kDoubleHashing,
-                          2);
-  CountingBloomFilter main(1 << 10, 8, 3,
-                           hashing::IndexStrategy::kDoubleHashing, 2);
+  CountingBloomFilter sub(1 << 10, 4, 3, 2);
+  CountingBloomFilter main(1 << 10, 8, 3, 2);
   for (std::uint64_t i = 0; i < 50; ++i) sub.insert(i);
   main.add(sub);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_TRUE(main.contains(i));

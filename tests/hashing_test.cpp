@@ -1,21 +1,31 @@
 // Unit and statistical tests for the hashing substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/validity_oracle.hpp"
+#include "core/group_bloom_filter.hpp"
+#include "core/timing_bloom_filter.hpp"
 #include "hashing/fnv.hpp"
 #include "hashing/hash_common.hpp"
 #include "hashing/index_family.hpp"
 #include "hashing/murmur3.hpp"
-#include "hashing/tabulation.hpp"
-#include "hashing/xxhash.hpp"
+#include "reference_hashes.hpp"
+#include "stream/rng.hpp"
+#include "stream/zipf.hpp"
 
 namespace ppc::hashing {
 namespace {
+
+using reference::TabulationHash64;
+using reference::xxh64;
 
 TEST(Fmix64, IsBijectiveOnSamples) {
   // fmix64 must not collide: spot-check a dense sample.
@@ -85,6 +95,7 @@ TEST(Murmur3, AvalancheOnSingleBitFlip) {
 
 TEST(Xxh64, MatchesPublishedVectors) {
   EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64("abc", 0), 0x44bc2cf5ad770999ULL);
 }
 
 TEST(Xxh64, Deterministic) {
@@ -140,27 +151,93 @@ TEST(IndexFamily, IndicesStayInRange) {
   }
 }
 
-TEST(IndexFamily, ByteAndU64OverloadsAreIndependentlyDeterministic) {
-  IndexFamily family(5, 1u << 16);
-  const std::uint64_t key = 0xfeedface;
-  auto a = family.indices(as_bytes(key));
-  auto b = family.indices(as_bytes(key));
-  EXPECT_EQ(a, b);
+TEST(IndexFamily, BatchMatchesPerKeyElementForElement) {
+  stream::Rng rng(77);
+  const std::uint64_t ranges[] = {1, 7, std::uint64_t{1} << 20,
+                                  (std::uint64_t{1} << 32) + 5,
+                                  (std::uint64_t{1} << 63) + 3};
+  std::vector<std::size_t> lengths(18);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(1024);
+  for (const std::size_t k : {1, 2, 4, 7, 11, 13, 64}) {
+    for (const std::uint64_t range : ranges) {
+      for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42},
+                                       rng.next()}) {
+        const IndexFamily family(k, range, seed);
+        for (const std::size_t n : lengths) {
+          std::vector<std::uint64_t> keys(n);
+          for (auto& key : keys) key = rng.next();
+          std::vector<std::uint64_t> got(n * k, ~std::uint64_t{0});
+          family.indices_batch(keys, got);
+          std::vector<std::uint64_t> expected(k);
+          for (std::size_t i = 0; i < n; ++i) {
+            family.indices(keys[i], expected);
+            for (std::size_t j = 0; j < k; ++j) {
+              ASSERT_EQ(got[i * k + j], expected[j])
+                  << "k " << k << " range " << range << " seed " << seed
+                  << " n " << n << " key " << i << " index " << j;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
-class IndexFamilyStrategyTest
-    : public ::testing::TestWithParam<IndexStrategy> {};
+// IndexFamily against two reference derivations built from unrelated hash
+// functions: k independent XXH64 evaluations, and double hashing over two
+// seeded tabulation hashes. The checks below hold for all three, so a
+// failure of double hashing alone is a defect of the derivation.
+enum class Derivation { kDoubleHashing, kIndependentXxh64, kTabulation };
+
+class IndexFamilyStrategyTest : public ::testing::TestWithParam<Derivation> {
+ protected:
+  /// Fills out[0..k) with key's indices in [0, range) under GetParam().
+  static std::function<void(std::uint64_t, std::uint64_t*)> family(
+      std::size_t k, std::uint64_t range, std::uint64_t seed) {
+    const auto reduce = [range](std::uint64_t x) {
+      return static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(x) * range) >> 64);
+    };
+    switch (GetParam()) {
+      case Derivation::kDoubleHashing:
+        return [f = IndexFamily(k, range, seed)](std::uint64_t key,
+                                                 std::uint64_t* out) {
+          f.indices(key, std::span<std::uint64_t>(out, f.k()));
+        };
+      case Derivation::kIndependentXxh64:
+        return [=](std::uint64_t key, std::uint64_t* out) {
+          for (std::size_t i = 0; i < k; ++i) {
+            out[i] = reduce(
+                xxh64(as_bytes(key), seed + 0x9e3779b97f4a7c15ULL * (i + 1)));
+          }
+        };
+      case Derivation::kTabulation: {
+        const auto t1 = std::make_shared<TabulationHash64>(seed);
+        const auto t2 = std::make_shared<TabulationHash64>(fmix64(seed + 1));
+        return [=](std::uint64_t key, std::uint64_t* out) {
+          std::uint64_t acc = (*t1)(key ^ seed);
+          const std::uint64_t step = (*t2)(key ^ seed) | 1u;
+          for (std::size_t i = 0; i < k; ++i, acc += step) {
+            out[i] = reduce(acc);
+          }
+        };
+      }
+    }
+    return {};
+  }
+};
 
 TEST_P(IndexFamilyStrategyTest, DistributesUniformly) {
   // Chi-squared-ish check: bucket 64k keys × k indices into 256 cells.
   constexpr std::uint64_t kRange = 256;
   constexpr std::size_t kK = 4;
-  IndexFamily family(kK, kRange, GetParam(), /*seed=*/11);
+  const auto indices = family(kK, kRange, /*seed=*/11);
   std::vector<std::uint64_t> counts(kRange, 0);
   constexpr std::uint64_t kKeys = 1 << 16;
   for (std::uint64_t key = 0; key < kKeys; ++key) {
     std::uint64_t idx[kK];
-    family.indices(key, std::span<std::uint64_t>(idx, kK));
+    indices(key, idx);
     for (std::uint64_t v : idx) ++counts[static_cast<std::size_t>(v)];
   }
   const double expected = static_cast<double>(kKeys * kK) / kRange;
@@ -170,64 +247,74 @@ TEST_P(IndexFamilyStrategyTest, DistributesUniformly) {
     chi2 += d * d / expected;
   }
   // 255 dof: mean 255, std ~22.6; 400 is ~6 sigma.
-  EXPECT_LT(chi2, 400.0) << "strategy produced a skewed distribution";
+  EXPECT_LT(chi2, 400.0) << "derivation produced a skewed distribution";
 }
 
 TEST_P(IndexFamilyStrategyTest, DifferentSeedsDecorrelate) {
-  IndexFamily f1(6, 1u << 20, GetParam(), 1);
-  IndexFamily f2(6, 1u << 20, GetParam(), 2);
+  const auto f1 = family(6, 1u << 20, 1);
+  const auto f2 = family(6, 1u << 20, 2);
   int matches = 0;
   for (std::uint64_t key = 0; key < 1000; ++key) {
     std::uint64_t a[6], b[6];
-    f1.indices(key, std::span<std::uint64_t>(a, 6));
-    f2.indices(key, std::span<std::uint64_t>(b, 6));
+    f1(key, a);
+    f2(key, b);
     for (int i = 0; i < 6; ++i) matches += (a[i] == b[i]);
   }
   EXPECT_LT(matches, 10);  // 6000 comparisons, ~0.006 expected by chance
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexFamilyStrategyTest,
-                         ::testing::Values(IndexStrategy::kDoubleHashing,
-                                           IndexStrategy::kIndependentHashes,
-                                           IndexStrategy::kTabulation,
-                                           IndexStrategy::kCacheLineBlocked));
+                         ::testing::Values(Derivation::kDoubleHashing,
+                                           Derivation::kIndependentXxh64,
+                                           Derivation::kTabulation));
 
-// ------------------------------------------- cache-line-blocked probing
+// Theorem 1/2 end-to-end through the batch hash path: a heavy-tailed Zipf
+// stream (the realistic click-fraud workload) batched through offer_batch
+// must produce ZERO false negatives against the validity oracle.
+TEST(SimdZeroFalseNegatives, GbfAndTbfOnZipfThroughBatchPath) {
+  stream::Rng rng(314159);
+  const stream::ZipfSampler zipf(4096, 1.1);
+  std::vector<std::uint64_t> ids(30000);
+  for (auto& id : ids) id = 0xC11C'0000'0000ULL + zipf.sample(rng);
 
-TEST(CacheLineBlocked, RejectsUnsupportedGeometry) {
-  EXPECT_THROW(IndexFamily(4, 7, IndexStrategy::kCacheLineBlocked),
-               std::invalid_argument);  // range < one block
-  EXPECT_THROW(IndexFamily(9, 1024, IndexStrategy::kCacheLineBlocked),
-               std::invalid_argument);  // k > block capacity
-}
-
-TEST(CacheLineBlocked, ProbesAreDistinctAndConfinedToOneAlignedBlock) {
-  constexpr std::size_t kK = 7;
-  IndexFamily family(kK, 1u << 16, IndexStrategy::kCacheLineBlocked, 3);
-  for (std::uint64_t key = 0; key < 5'000; ++key) {
-    std::uint64_t idx[kK];
-    family.indices(key, std::span<std::uint64_t>(idx, kK));
-    const std::uint64_t block = idx[0] / 8;
-    std::set<std::uint64_t> distinct;
-    for (std::uint64_t v : idx) {
-      EXPECT_EQ(v / 8, block) << "probe escaped its cache-line block";
-      distinct.insert(v);
+  {
+    core::GroupBloomFilter gbf(core::WindowSpec::jumping_count(2048, 8),
+                               {.bits_per_subfilter = 1 << 15,
+                                .hash_count = 6});
+    analysis::JumpingOracle oracle(2048, 8);
+    constexpr std::size_t kBatch = 256;
+    bool buf[kBatch];
+    for (std::size_t off = 0; off < ids.size(); off += kBatch) {
+      const std::size_t n = std::min(kBatch, ids.size() - off);
+      gbf.offer_batch(std::span<const core::ClickId>(ids.data() + off, n),
+                      std::span<bool>(buf, n));
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool duplicate = buf[j];
+        if (oracle.contains_valid(ids[off + j])) {
+          ASSERT_TRUE(duplicate) << "GBF false negative at " << off + j;
+        }
+        oracle.record(ids[off + j], !duplicate, 0);
+      }
     }
-    EXPECT_EQ(distinct.size(), kK) << "in-block probes collided";
   }
-}
-
-TEST(CacheLineBlocked, ByteAndU64KeysBothStayInRange) {
-  // Range deliberately NOT a multiple of 8: the last partial block must
-  // never be probed.
-  constexpr std::uint64_t kRange = 1003;
-  IndexFamily family(8, kRange, IndexStrategy::kCacheLineBlocked, 9);
-  for (std::uint64_t key = 0; key < 2'000; ++key) {
-    std::uint64_t idx[8];
-    family.indices(key, std::span<std::uint64_t>(idx, 8));
-    for (std::uint64_t v : idx) EXPECT_LT(v, kRange / 8 * 8);
-    const auto via_bytes = family.indices(as_bytes(key));
-    for (std::uint64_t v : via_bytes) EXPECT_LT(v, kRange / 8 * 8);
+  {
+    core::TimingBloomFilter tbf(core::WindowSpec::sliding_count(2048),
+                                {.entries = 1 << 15, .hash_count = 6});
+    analysis::SlidingOracle oracle(2048);
+    constexpr std::size_t kBatch = 256;
+    bool buf[kBatch];
+    for (std::size_t off = 0; off < ids.size(); off += kBatch) {
+      const std::size_t n = std::min(kBatch, ids.size() - off);
+      tbf.offer_batch(std::span<const core::ClickId>(ids.data() + off, n),
+                      std::span<bool>(buf, n));
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool duplicate = buf[j];
+        if (oracle.contains_valid(ids[off + j])) {
+          ASSERT_TRUE(duplicate) << "TBF false negative at " << off + j;
+        }
+        oracle.record(ids[off + j], !duplicate, 0);
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "adnet/detector_pool.hpp"
+#include "core/age_partitioned_bloom_filter.hpp"
 #include "core/group_bloom_filter.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/snapshot_io.hpp"
@@ -316,6 +317,81 @@ TEST(ShardedSnapshotFuzz, ForgedShardCountWithValidCrcRejected) {
     EXPECT_THROW(target->restore(in), std::exception)
         << "count " << forged_count;
   }
+}
+
+// Every filter header keeps the word that once named the index strategy;
+// double hashing, written as 0, is the only derivation left. A forged word
+// must be refused by load() and restore() alike, by field and value, and
+// never become a filter whose probes miss the bits it holds.
+TEST(Snapshot, RejectsNonZeroStrategyWord) {
+  GroupBloomFilter gbf(WindowSpec::jumping_count(512, 4), gbf_opts());
+  TimingBloomFilter tbf(WindowSpec::sliding_count(512), tbf_opts());
+  const AgePartitionedBloomFilter::Options apbf_opts{
+      .bits_per_slice = 1 << 12, .consecutive = 4, .generations = 4,
+      .seed = 9};
+  AgePartitionedBloomFilter apbf(WindowSpec::sliding_count(512), apbf_opts);
+  for (ClickId id = 0; id < 500; ++id) {
+    gbf.offer(id);
+    tbf.offer(id);
+    apbf.offer(id);
+  }
+  const std::string gbf_bytes = saved_bytes(gbf);
+  const std::string tbf_bytes = saved_bytes(tbf);
+  const std::string apbf_payload =
+      unwrap(detail::kApbfMagic, saved_bytes(apbf), "apbf");
+
+  // Byte offsets of the word: GBF magic + 5 window + m, k; TBF magic +
+  // 5 window + m, k, C; APBF (inside its section) 5 window + m, k, l.
+  const auto forge = [](std::string bytes, std::size_t offset,
+                        std::uint64_t word) {
+    std::uint64_t was;
+    std::memcpy(&was, bytes.data() + offset, 8);
+    EXPECT_EQ(was, 0u) << "offset " << offset << " is not the strategy word";
+    std::memcpy(bytes.data() + offset, &word, 8);
+    return bytes;
+  };
+  const auto expect_refused = [](const std::string& bytes, std::uint64_t word,
+                                 const auto& read) {
+    std::stringstream in(bytes);
+    try {
+      read(in);
+      ADD_FAILURE() << "strategy word " << word << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("index strategy " +
+                                           std::to_string(word)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::uint64_t word : {1u, 3u, 7u}) {
+    SCOPED_TRACE("strategy word " + std::to_string(word));
+    const std::string g = forge(gbf_bytes, 8 * 8, word);
+    expect_refused(g, word,
+                   [](std::istream& in) { GroupBloomFilter::load(in); });
+    expect_refused(g, word, [&](std::istream& in) { gbf.restore(in); });
+
+    const std::string t = forge(tbf_bytes, 9 * 8, word);
+    expect_refused(t, word,
+                   [](std::istream& in) { TimingBloomFilter::load(in); });
+    expect_refused(t, word, [&](std::istream& in) { tbf.restore(in); });
+
+    const std::string a =
+        rewrap(detail::kApbfMagic, forge(apbf_payload, 8 * 8, word));
+    expect_refused(a, word, [](std::istream& in) {
+      AgePartitionedBloomFilter::load(in);
+    });
+    expect_refused(a, word, [&](std::istream& in) { apbf.restore(in); });
+  }
+
+  // The unforged snapshots still load and keep every saved id.
+  std::stringstream g(gbf_bytes), t(tbf_bytes);
+  std::stringstream a(rewrap(detail::kApbfMagic, apbf_payload));
+  const auto gbf2 = GroupBloomFilter::load(g);
+  const auto tbf2 = TimingBloomFilter::load(t);
+  const auto apbf2 = AgePartitionedBloomFilter::load(a);
+  EXPECT_TRUE(gbf2->offer(499));
+  EXPECT_TRUE(tbf2->offer(499));
+  EXPECT_TRUE(apbf2->offer(499));
 }
 
 TEST(ShardedSnapshotFuzz, TrailingPayloadGarbageRejected) {

@@ -93,6 +93,39 @@ TEST(TieredPool, PromotesHeavyHitterIntoHotTier) {
   EXPECT_TRUE(pool.offer(9, 424242, (1 << 20) + 1));
 }
 
+// The time-basis handover grace is [promotion, promotion + hot window):
+// inside it the tail's verdict counts, from its end on the tail's verdict
+// is ignored (DESIGN.md "Tier moves"). A click only the tail holds — the
+// original was offered before its ad was promoted — therefore reads as a
+// duplicate one microsecond before the grace ends, and as fresh at the end
+// itself, where the new hot detector has never seen it.
+TEST(TieredPool, TimeGraceEndsOneHotWindowAfterPromotion) {
+  TieredPoolOptions opts = small_opts();
+  opts.hot_window = core::WindowSpec::sliding_time(2048, 1);
+  opts.epoch_clicks = 256;
+  constexpr std::uint32_t kAd = 9;
+  constexpr core::ClickId kOriginal = 0xbeef;
+  // Each replay gets its own pool, so the first replay cannot seed the
+  // hot detector for the second.
+  const auto replay_at = [&](std::uint64_t t) {
+    TieredDetectorPool pool(opts);
+    // One epoch of kAd alone: the first click is the original, and the
+    // epoch-closing click at time epoch_clicks - 1 promotes kAd.
+    EXPECT_FALSE(pool.offer(kAd, kOriginal, 0));
+    for (std::uint64_t i = 1; i < opts.epoch_clicks; ++i) {
+      pool.offer(kAd, 1'000 + i, i);
+    }
+    EXPECT_TRUE(pool.ad_is_hot(kAd));
+    return pool.offer(kAd, kOriginal, t);
+  };
+  const std::uint64_t grace_until =
+      (opts.epoch_clicks - 1) + opts.hot_window.length;
+  EXPECT_TRUE(replay_at(grace_until - 1))
+      << "inside the grace the tail's verdict counts";
+  EXPECT_FALSE(replay_at(grace_until))
+      << "after the grace the tail's verdict is ignored";
+}
+
 TEST(TieredPool, FullBudgetDefersPromotionInsteadOfThrowing) {
   // Cap leaves no headroom above the tail: the promotion loop must defer
   // (and count it) while clicks keep flowing through the tail.

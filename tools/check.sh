@@ -6,11 +6,7 @@
 #      flips every EngineMode::kAuto ShardedDetector onto the lock-free
 #      owner-pinned SPSC engine — the whole suite must pass in BOTH
 #      synchronization designs;
-#   3. the same suite built with -DPPC_DISABLE_SIMD=ON — the scalar-only
-#      escape hatch must stay green AND produce identical verdicts (the
-#      parity/equivalence tests run in both builds, so a divergence between
-#      the SIMD and scalar index kernels fails here);
-#   4. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
+#   3. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
 #      tests — sharded_test, runtime_test, parallel_batch_test,
 #      batch_times_test, spsc_ring_test, engine_equivalence_test, the
 #      network ingest pair wire_fuzz_test / server_e2e_test (event loop
@@ -27,7 +23,7 @@
 #      the engine-sensitive ones run under TSan in both engine defaults
 #      (the e2e and durability binaries include the multi-loop fixtures,
 #      so the SO_REUSEPORT cross-loop paths are raced in both designs);
-#   5. CLI validation: ppcd must reject --loops=0 and --loops beyond the
+#   4. CLI validation: ppcd must reject --loops=0 and --loops beyond the
 #      hardware threads (without --oversubscribe-loops) with clear errors.
 #
 # Usage: tools/check.sh [--tsan-only]
@@ -76,12 +72,6 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   OUT=$(./build/tools/ppcd --loops="$OVER" --listen=127.0.0.1:0 2>&1 || true)
   echo "$OUT" | grep -q "exceeds the .* hardware thread" \
     || { echo "FAIL: oversubscription error message missing"; exit 1; }
-
-  echo "== tier-1 (scalar): -DPPC_DISABLE_SIMD=ON build + ctest =="
-  cmake -B build-nosimd -S . -DPPC_DISABLE_SIMD=ON \
-    -DPPC_BUILD_BENCH=OFF -DPPC_BUILD_EXAMPLES=OFF
-  cmake --build build-nosimd -j "$JOBS"
-  (cd build-nosimd && ctest --output-on-failure -j "$JOBS")
 fi
 
 echo "== race gate: TSan build of the concurrency tests =="
