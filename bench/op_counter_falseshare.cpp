@@ -1,9 +1,9 @@
 // False-sharing microbench for the per-shard OpCounter padding.
 //
-// ShardedDetector keeps one OpCounter per shard; in engine mode each
-// shard's owner thread bumps its counter on every instrumented filter op
-// while neighbouring shards' owners do the same. If two shards' counters
-// share a cache line, every increment is a coherence miss. This bench
+// ShardedDetector keeps one OpCounter per shard; with batch fan-out each
+// lane draining a shard bumps that shard's counter on every instrumented
+// filter op while other lanes drain neighbouring shards. If two shards'
+// counters share a cache line, every increment is a coherence miss. This bench
 // measures that directly: two threads each hammer their own OpCounter in
 // two layouts —
 //   adjacent — the counters packed back to back (they share lines);

@@ -3,20 +3,17 @@
 //
 // Sweeps {1,2,4,8} threads × {1,4,16,64} shards × {GBF, TBF} over one
 // Zipf click stream (heavy-tailed duplicates, like real ad traffic) and
-// measures three ingestion modes per configuration:
-//   * offer  — the legacy path: one virtual call + one mutex acquisition
-//     per click, threads = 1 (this is the "single-thread mutex-per-offer
-//     baseline" every speedup is quoted against);
-//   * batch  — ShardedDetector::offer_batch: micro-batches bucketized by
+// measures two ingestion modes per configuration:
+//   * offer — one virtual call + one mutex acquisition per click,
+//     threads = 1 (the "single-thread mutex-per-offer baseline" every
+//     speedup is quoted against);
+//   * batch — ShardedDetector::offer_batch: micro-batches bucketized by
 //     shard, one lock per shard per batch, pipelined inner offer_batch,
-//     optional fan-out across ShardedDetector::Options::threads;
-//   * engine — the same offer_batch surface running the lock-free
-//     owner-pinned SPSC engine (EngineMode::kSpscOwner): buckets are
-//     posted to long-lived owner threads through SPSC rings, no mutex on
-//     the hot path. Interleaved rep-by-rep with the mutex arms and
-//     subject to a regression floor: on hosts with ≥ 4 hardware threads,
-//     engine throughput at threads ≥ 4 must be ≥ 1.3× the mutex batch
-//     arm, or the bench exits nonzero.
+//     fanned out across ShardedDetector::Options::threads.
+// Each figure is the median of kReps timed passes, each from a reset
+// filter so every pass ingests the identical workload: on a shared host
+// noise only ever slows a pass down, and the median ignores one slow
+// pass without crediting one lucky pass.
 //
 // Filters are sized cache-hostile on purpose (the production regime: a
 // window of millions of clicks does not fit in L2), which is exactly where
@@ -28,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -43,6 +39,7 @@ namespace {
 using namespace ppc;
 
 constexpr std::size_t kBatch = 16384;  // micro-batch fed to offer_batch
+constexpr int kReps = 5;                // timed passes per figure
 // Global windows, split per shard. The GBF window is production-sized: at
 // 64 shards each shard still holds ~hundreds of KiB, so the total working
 // set stays DRAM-resident at every shard count and the baseline never
@@ -121,6 +118,22 @@ double run_batch(core::ShardedDetector& d,
   return static_cast<double>(ids.size()) / secs;
 }
 
+/// Median clicks/second of kReps passes of `run` over `d`, after one
+/// warm-up pass (filters and caches), each pass from a reset filter.
+double median_cps(core::ShardedDetector& d,
+                  const std::vector<core::ClickId>& ids,
+                  double (*run)(core::ShardedDetector&,
+                                const std::vector<core::ClickId>&)) {
+  run(d, ids);
+  std::vector<double> cps(kReps);
+  for (double& c : cps) {
+    d.reset();
+    c = run(d, ids);
+  }
+  std::nth_element(cps.begin(), cps.begin() + kReps / 2, cps.end());
+  return cps[kReps / 2];
+}
+
 struct Algo {
   const char* name;
   core::ShardedDetector::Factory (*factory)(std::size_t shards);
@@ -146,53 +159,30 @@ int main(int argc, char** argv) {
   benchutil::JsonSeriesWriter json("sharded_throughput", args.json);
   // Host metadata rides in the JSON header: throughput and speedup numbers
   // are only comparable against a baseline recorded on the same class of
-  // machine, and the engine-vs-mutex gain in particular is meaningless on
-  // a single-hardware-thread box.
+  // machine, and fan-out gains need more than one hardware thread.
   json.set_meta("hw_threads",
                 static_cast<double>(runtime::ThreadPool::hardware_threads()));
   json.set_meta("cpu_model", benchutil::cpu_model_string());
   std::printf("sharded ingestion: %zu clicks, batch=%zu, gbf window=%llu, "
-              "tbf window=%llu (hardware threads: %zu)\n\n",
+              "tbf window=%llu, median of %d passes (hardware threads: "
+              "%zu)\n\n",
               ids.size(), kBatch,
               static_cast<unsigned long long>(kGbfWindow),
-              static_cast<unsigned long long>(kTbfWindow),
+              static_cast<unsigned long long>(kTbfWindow), kReps,
               runtime::ThreadPool::hardware_threads());
-  // batch = the mutex offer_batch path; engine = the SPSC owner engine.
-  // The last column is the engine's gain over batch (the lock-free
-  // engine's contribution alone — same hashing, same memory traffic).
-  std::printf("%6s %7s %8s %8s %12s %9s %9s\n", "algo", "shards", "mode",
-              "threads", "Mclicks/s", "speedup", "gain");
+  std::printf("%6s %7s %8s %8s %12s %9s\n", "algo", "shards", "mode",
+              "threads", "Mclicks/s", "speedup");
   benchutil::print_rule(6, 9);
-
-  // Regression-floor violations (engine < 1.3× mutex batch at threads ≥ 4)
-  // collected across the sweep; asserted at exit so one bad cell fails CI.
-  std::vector<std::string> floor_violations;
-  const bool check_floor = runtime::ThreadPool::hardware_threads() >= 4;
-  if (!check_floor) {
-    std::printf("note: %zu hardware thread(s) — the engine-vs-mutex floor "
-                "(engine >= 1.3x batch at threads >= 4) is recorded but not "
-                "asserted; owner threads cannot run in parallel here.\n\n",
-                runtime::ThreadPool::hardware_threads());
-  }
 
   for (const Algo& algo : algos) {
     for (const std::size_t shards : shard_counts) {
-      // Baseline: mutex-per-offer on one thread — today's upstream path.
-      // Best-of-3 timed passes (each from a reset filter, so every rep
-      // ingests the identical workload) on both sides: this box is a
-      // shared-host VM and single-pass numbers wobble ±10%.
-      constexpr int kReps = 3;
       double offer_cps = 0;
       {
         core::ShardedDetector d(shards, algo.factory(shards));
-        run_offer(d, ids);  // warm up filters + caches, then measure
-        for (int rep = 0; rep < kReps; ++rep) {
-          d.reset();
-          offer_cps = std::max(offer_cps, run_offer(d, ids));
-        }
+        offer_cps = median_cps(d, ids, &run_offer);
       }
-      std::printf("%6s %7zu %8s %8d %12.3f %9.2f %9s\n", algo.name, shards,
-                  "offer", 1, offer_cps / 1e6, 1.0, "-");
+      std::printf("%6s %7zu %8s %8d %12.3f %9.2f\n", algo.name, shards,
+                  "offer", 1, offer_cps / 1e6, 1.0);
       json.add(algo.name, {{"shards", static_cast<double>(shards)},
                            {"mode_batch", 0},
                            {"threads", 1},
@@ -201,71 +191,21 @@ int main(int argc, char** argv) {
                            {"speedup_vs_mutex_offer", 1.0}});
 
       for (const std::size_t threads : thread_counts) {
-        core::ShardedDetector d(
-            shards, algo.factory(shards),
-            {.threads = threads,
-             .engine = core::ShardedDetector::EngineMode::kMutex});
-        core::ShardedDetector e(
-            shards, algo.factory(shards),
-            {.threads = threads,
-             .engine = core::ShardedDetector::EngineMode::kSpscOwner});
-        run_batch(d, ids);  // warm up filters + caches once for all arms
-        run_batch(e, ids);
-
-        // Two arms, INTERLEAVED rep-by-rep so the shared-host clock drift
-        // (turbo decay / CPU-credit burn over an 8-minute run) hits both
-        // equally — arm-after-arm ordering showed a phantom ±10% skew on
-        // whichever arm ran second.
-        double batch_cps = 0;
-        double engine_cps = 0;
-        for (int rep = 0; rep < kReps; ++rep) {
-          d.reset();
-          batch_cps = std::max(batch_cps, run_batch(d, ids));
-          e.reset();
-          engine_cps = std::max(engine_cps, run_batch(e, ids));
-        }
-
+        core::ShardedDetector d(shards, algo.factory(shards),
+                                {.threads = threads});
+        const double batch_cps = median_cps(d, ids, &run_batch);
         const double speedup = batch_cps / offer_cps;
-        const double engine_gain = engine_cps / batch_cps;
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9s\n", algo.name,
-                    shards, "batch", threads, batch_cps / 1e6, speedup, "-");
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
-                    shards, "engine", threads, engine_cps / 1e6,
-                    engine_cps / offer_cps, engine_gain);
+        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f\n", algo.name, shards,
+                    "batch", threads, batch_cps / 1e6, speedup);
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
-                             {"engine", 0},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},
                              {"mclicks_per_s", batch_cps / 1e6},
                              {"speedup_vs_mutex_offer", speedup}});
-        json.add(algo.name, {{"shards", static_cast<double>(shards)},
-                             {"mode_batch", 1},
-                             {"engine", 1},
-                             {"threads", static_cast<double>(threads)},
-                             {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", engine_cps / 1e6},
-                             {"speedup_vs_mutex_offer",
-                              engine_cps / offer_cps},
-                             {"engine_gain_vs_mutex_batch", engine_gain}});
-        if (check_floor && threads >= 4 && engine_gain < 1.3) {
-          char buf[128];
-          std::snprintf(buf, sizeof(buf),
-                        "%s shards=%zu threads=%zu: engine %.2fx mutex "
-                        "batch (floor 1.30x)",
-                        algo.name, shards, threads, engine_gain);
-          floor_violations.emplace_back(buf);
-        }
       }
     }
   }
   json.write();
-  if (!floor_violations.empty()) {
-    std::fprintf(stderr, "\nengine regression floor FAILED:\n");
-    for (const auto& v : floor_violations) {
-      std::fprintf(stderr, "  %s\n", v.c_str());
-    }
-    return 1;
-  }
   return 0;
 }

@@ -33,10 +33,16 @@
 //     the tail's answer is ignored — hot-tier FPR drops to the hot plan's;
 //   * demotion just deletes the hot detector: the tail shadow already
 //     holds the demoted ad's recent originals.
-// Net guarantee: a duplicate is NEVER missed when it arrives within
-// `tail_window_clicks` global arrivals of its original; an ad that stays
-// hot (no demotion between original and duplicate) additionally gets zero
-// false negatives over its own window unconditionally.
+// Net guarantee, by the tier that serves the duplicate's ad when it
+// arrives:
+//   * a tail ad: caught when it arrives within `tail_window_clicks` global
+//     arrivals of its original;
+//   * a hot ad whose original arrived in the same hot stint (no demotion
+//     in between): caught within the ad's own `hot_window`;
+//   * a hot ad whose original predates the promotion: caught only inside
+//     the handover grace, and only while the tail still holds the
+//     original. After the grace such a duplicate reads fresh even if the
+//     tail still holds its original.
 //
 // Thread safety: one internal mutex serializes everything (the shared tail
 // filter and the maintenance loop leave nothing to shard). Wrap offers
@@ -72,7 +78,8 @@ struct TieredPoolOptions {
   double hot_target_fpr = 1e-4;
 
   /// Tail window in GLOBAL arrivals (all tail + shadowed hot clicks); also
-  /// the bound on cross-tier duplicate detection (header comment).
+  /// the bound on duplicate detection for tail ads and inside the
+  /// handover grace (header comment).
   std::uint64_t tail_window_clicks = std::uint64_t{1} << 20;
   /// FP target the shared tail detector is sized for.
   double tail_target_fpr = 1e-3;

@@ -8,8 +8,8 @@
 //   2. TBF across its modulo-(N+C) wraparound-counter boundary — the
 //      regression the incremental stale scan must survive (an expired
 //      entry that aliases as fresh after restore is a billing bug);
-//   3. ShardedDetector in both synchronization designs (mutex and the
-//      lock-free owner engine), fed through the production batch path;
+//   3. ShardedDetector draining batches on the calling thread and fanning
+//      them over two lanes, fed through the production batch path;
 //   4. DetectorPool with interleaved multi-ad timed batches;
 //   5. the full daemon: an IngestServer run over loopback, drained to a
 //      snapshot file, restarted from it, replaying the second half of the
@@ -239,13 +239,23 @@ TEST(TbfWraparoundDurability, StaleScanReclaimsExpiredEntriesAfterRestore) {
   }
 }
 
-// --- 3. ShardedDetector, both engine modes --------------------------------
+// --- 3. ShardedDetector, caller-thread and fanned-out batches -------------
 
-MakeFn make_sharded(core::ShardedDetector::EngineMode mode) {
-  return [mode] {
-    core::ShardedDetector::Options opts;
-    opts.engine = mode;
-    opts.threads = 2;
+// How offer_batch drains the shard buckets: sequentially on the calling
+// thread (threads = 1) or fanned out over two lanes (threads = 2). A scoped
+// enum without a printer, so the instance names stay the raw byte values.
+enum class Lanes : std::uint8_t { kCallerThread, kTwoLanes };
+
+core::ShardedDetector::Options sharded_options(Lanes lanes) {
+  return core::ShardedDetector::Options{
+      .threads = lanes == Lanes::kTwoLanes ? std::size_t{2} : std::size_t{1}};
+}
+
+class ShardedDurability : public ::testing::TestWithParam<Lanes> {};
+
+TEST_P(ShardedDurability, BatchedResumeIsBitIdentical) {
+  const auto opts = sharded_options(GetParam());
+  const MakeFn make = [opts] {
     return std::make_unique<core::ShardedDetector>(
         4,
         [](std::size_t) {
@@ -258,13 +268,6 @@ MakeFn make_sharded(core::ShardedDetector::EngineMode mode) {
         },
         opts);
   };
-}
-
-class ShardedDurability
-    : public ::testing::TestWithParam<core::ShardedDetector::EngineMode> {};
-
-TEST_P(ShardedDurability, BatchedResumeIsBitIdentical) {
-  const MakeFn make = make_sharded(GetParam());
   const auto ids = testutil::make_id_stream(8000, 0.35, 2048, 34);
   const std::vector<std::uint64_t> times(ids.size(), 0);
   for (const std::size_t cp : {0u, 113u, 1017u, 4068u}) {
@@ -273,11 +276,8 @@ TEST_P(ShardedDurability, BatchedResumeIsBitIdentical) {
 }
 
 TEST_P(ShardedDurability, TimedBatchResumeIsBitIdentical) {
-  const auto mode = GetParam();
-  const MakeFn make = [mode] {
-    core::ShardedDetector::Options opts;
-    opts.engine = mode;
-    opts.threads = 2;
+  const auto opts = sharded_options(GetParam());
+  const MakeFn make = [opts] {
     return std::make_unique<core::ShardedDetector>(
         4,
         [](std::size_t) {
@@ -297,13 +297,9 @@ TEST_P(ShardedDurability, TimedBatchResumeIsBitIdentical) {
   }
 }
 
-// kAuto resolves via PPC_ENGINE_DEFAULT — this test is engine-sensitive
-// and runs in both defaults through tools/check.sh.
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ShardedDurability,
-    ::testing::Values(core::ShardedDetector::EngineMode::kAuto,
-                      core::ShardedDetector::EngineMode::kMutex,
-                      core::ShardedDetector::EngineMode::kSpscOwner));
+INSTANTIATE_TEST_SUITE_P(Modes, ShardedDurability,
+                         ::testing::Values(Lanes::kCallerThread,
+                                           Lanes::kTwoLanes));
 
 // --- 4. DetectorPool ------------------------------------------------------
 
@@ -422,7 +418,7 @@ TEST(DaemonDurability, ShardedSinkDrainRestartRestoreMatchesOracle) {
   cfg.window = WindowSpec::jumping_count(4096, 8);
   cfg.memory_bits = std::uint64_t{1} << 18;
   cfg.shards = 4;
-  cfg.owners = 2;  // kAuto: engine-sensitive, runs in both defaults
+  cfg.owners = 2;
   const auto clicks = make_clicks(1, 16'000, 41);
   const std::size_t half = clicks.size() / 2;
   const std::string path = ::testing::TempDir() + "/sharded_drain.snap";

@@ -2,12 +2,14 @@
 // 1..8 threads must yield verdicts bit-identical to the sequential
 // mutex-per-offer path (bucketization preserves within-shard order), for
 // every algorithm the DetectorFactory can select; zero-false-negatives
-// must hold end-to-end on an adversarial duplicate-heavy Zipf stream; and
-// DetectorPool's batch route path must match its sequential path while
-// being driven from pool worker threads.
+// must hold end-to-end on an adversarial duplicate-heavy Zipf stream and
+// under concurrent offer_batch callers; and DetectorPool's batch route
+// path must match its sequential path while being driven from pool worker
+// threads.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "analysis/validity_oracle.hpp"
@@ -149,6 +151,46 @@ TEST(ParallelBatch, ZeroFalseNegativesOnAdversarialZipfStream) {
   }
   EXPECT_EQ(counts.false_negative, 0u) << counts.summary();
   EXPECT_GT(counts.true_duplicate, 1000u);  // the stream really is adversarial
+}
+
+TEST(ParallelBatch, ConcurrentProducersPreserveZeroFalseNegatives) {
+  // Six threads call offer_batch at once on one fan-out detector, each
+  // with its own id range, so their buckets for a shard race for its lock
+  // and share the pool. Order across producers is arbitrary, but every id
+  // was offered once, so a sequential re-offer must flag EVERY id.
+  const ShardedDetector::Factory tbf = [](std::size_t) {
+    TimingBloomFilter::Options opts;
+    opts.entries = 1 << 14;
+    opts.hash_count = 5;
+    opts.seed = 9;
+    return std::make_unique<TimingBloomFilter>(
+        WindowSpec::sliding_time(5'000'000, 10'000), opts);
+  };
+  ShardedDetector d(kShards, tbf, {.threads = 4});
+  constexpr std::size_t kProducers = 6;
+  constexpr std::size_t kPerProducer = 2000;
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&d, p] {
+      std::vector<ClickId> ids(kPerProducer);
+      for (std::size_t i = 0; i < kPerProducer; ++i) {
+        ids[i] = (p << 32) | (i + 1);
+      }
+      std::vector<char> buf(kPerProducer);
+      d.offer_batch(
+          std::span<const ClickId>(ids),
+          std::span<bool>(reinterpret_cast<bool*>(buf.data()), buf.size()),
+          1'000'000);
+    });
+  }
+  for (auto& t : producers) t.join();
+  std::size_t caught = 0;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < kPerProducer; ++i) {
+      caught += d.offer((p << 32) | (i + 1), 1'000'001) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(caught, kProducers * kPerProducer);
 }
 
 TEST(ParallelBatch, ShardedRejectsZeroThreads) {

@@ -224,25 +224,18 @@ TEST(Snapshot, InstanceRestoreRejectsMismatchedParameters) {
 // ---------------------------------------------------------------------------
 
 /// Tiny sharded GBF so the full snapshot is ~1 KB and the per-byte fuzz
-/// loops stay fast. `threads` > 1 + kSpscOwner exercises the engine path.
+/// loops stay fast.
 std::unique_ptr<ShardedDetector> make_tiny_sharded(
-    std::size_t shards,
-    ShardedDetector::EngineMode mode = ShardedDetector::EngineMode::kMutex,
-    std::uint64_t window_len = 256, std::uint64_t seed = 9) {
-  ShardedDetector::Options opts;
-  opts.engine = mode;
-  opts.threads = mode == ShardedDetector::EngineMode::kSpscOwner ? 2 : 1;
-  return std::make_unique<ShardedDetector>(
-      shards,
-      [&](std::size_t) {
-        GroupBloomFilter::Options o;
-        o.bits_per_subfilter = 1 << 10;
-        o.hash_count = 3;
-        o.seed = seed;
-        return std::make_unique<GroupBloomFilter>(
-            WindowSpec::jumping_count(window_len / shards, 4), o);
-      },
-      opts);
+    std::size_t shards, std::uint64_t window_len = 256,
+    std::uint64_t seed = 9) {
+  return std::make_unique<ShardedDetector>(shards, [&](std::size_t) {
+    GroupBloomFilter::Options o;
+    o.bits_per_subfilter = 1 << 10;
+    o.hash_count = 3;
+    o.seed = seed;
+    return std::make_unique<GroupBloomFilter>(
+        WindowSpec::jumping_count(window_len / shards, 4), o);
+  });
 }
 
 std::string saved_bytes(DuplicateDetector& d) {
@@ -438,8 +431,7 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
     }
   }
   {  // window mismatch (different aggregate count length)
-    auto target = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex,
-                                    /*window_len=*/512);
+    auto target = make_tiny_sharded(2, /*window_len=*/512);
     std::stringstream in(bytes);
     try {
       target->restore(in);
@@ -450,8 +442,7 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
     }
   }
   {  // inner detector option mismatch (different seed) surfaces shard context
-    auto target = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex,
-                                    256, /*seed=*/10);
+    auto target = make_tiny_sharded(2, 256, /*seed=*/10);
     std::stringstream in(bytes);
     try {
       target->restore(in);
@@ -463,27 +454,40 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
   }
 }
 
-TEST(ShardedSnapshot, MutexSnapshotRestoresIntoEngineInstanceAndViceVersa) {
-  // The engine flag is informational — verdicts are bit-identical across
-  // modes, so a mutex-mode snapshot may seed an engine-mode instance.
-  auto mutex_inst = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex);
+// The second payload word is the engine word. Saves write 0; snapshots
+// from builds that also had a lock-free owner engine may carry 1. Both
+// restore to the same verdicts; any other value is refused.
+TEST(ShardedSnapshot, EngineWordZeroOrOneRestores) {
+  auto source = make_tiny_sharded(2);
   const auto ids = testutil::make_id_stream(400, 0.3, 128, 7);
-  for (const auto id : ids) mutex_inst->offer(id);
-  const std::string bytes = saved_bytes(*mutex_inst);
+  for (const auto id : ids) source->offer(id);
+  const std::string payload =
+      unwrap(detail::kShardedMagic, saved_bytes(*source), "engine word");
+  std::uint64_t word = ~0ull;
+  std::memcpy(&word, payload.data() + 8, 8);
+  EXPECT_EQ(word, 0u);
 
-  auto engine_inst =
-      make_tiny_sharded(2, ShardedDetector::EngineMode::kSpscOwner);
-  std::stringstream in(bytes);
-  ASSERT_NO_THROW(engine_inst->restore(in));
+  const auto with_word = [&](std::uint64_t w) {
+    std::string forged = payload;
+    std::memcpy(forged.data() + 8, &w, 8);
+    return rewrap(detail::kShardedMagic, forged);
+  };
+  auto from_zero = make_tiny_sharded(2);
+  auto from_one = make_tiny_sharded(2);
+  std::stringstream zero(with_word(0)), one(with_word(1));
+  ASSERT_NO_THROW(from_zero->restore(zero));
+  ASSERT_NO_THROW(from_one->restore(one));
   for (std::size_t i = 0; i < 200; ++i) {
     const ClickId id = ids[i % ids.size()];
-    ASSERT_EQ(engine_inst->offer(id), mutex_inst->offer(id)) << "click " << i;
+    const bool expected = source->offer(id);
+    ASSERT_EQ(from_zero->offer(id), expected) << "click " << i;
+    ASSERT_EQ(from_one->offer(id), expected) << "click " << i;
   }
+  EXPECT_EQ(saved_bytes(*from_one), saved_bytes(*source));
 
-  const std::string engine_bytes = saved_bytes(*engine_inst);
-  auto mutex_back = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex);
-  std::stringstream back(engine_bytes);
-  ASSERT_NO_THROW(mutex_back->restore(back));
+  auto target = make_tiny_sharded(2);
+  std::stringstream two(with_word(2));
+  EXPECT_THROW(target->restore(two), std::runtime_error);
 }
 
 // --- DetectorPool composite format --------------------------------------

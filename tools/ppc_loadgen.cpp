@@ -3,8 +3,8 @@
 //   ppc_loadgen --connect=127.0.0.1:4817 --connections=4 --clicks=1000000
 //               --batch=1024 [--inflight=4] [--seed=1] [--verify=on|off]
 //               [--window=... --memory-mib=... --hashes=... --backend=...
-//                --shards=... --owners=... --engine=...]
-//               (mirror of the ppcd flags)
+//                --shards=...]
+//               (mirror of the ppcd flags that decide verdicts)
 //
 // Each connection runs on its own thread: a deterministic Zipf click
 // stream (stream::MixedTrafficStream, seed = --seed + connection index,
@@ -45,6 +45,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -86,11 +87,17 @@ namespace {
       "                       and --inflight=1, the defaults in this mode;\n"
       "                       point it at a daemon running the same spec)\n"
       "  --window=SPEC --memory-mib=M --hashes=K --backend=B --shards=S\n"
-      "  --owners=T --engine=auto|on|off\n"
       "                       mirror of the ppcd detector flags (oracle)\n",
       argv0);
   std::exit(2);
 }
+
+/// Every flag usage() lists; parse_flags refuses any other, so a misspelt
+/// flag cannot run the check on defaults.
+constexpr std::string_view kKnownFlags[] = {
+    "connect", "connections", "clicks", "batch", "inflight", "seed",
+    "verify", "sndbuf", "loops", "v2", "verify-enforce", "window",
+    "memory-mib", "hashes", "backend", "shards"};
 
 std::map<std::string, std::string> parse_flags(int argc, char** argv) {
   std::map<std::string, std::string> flags;
@@ -100,11 +107,14 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
       usage(argv[0]);
     }
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const std::string key =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "ppc_loadgen: unknown flag --%s\n", key.c_str());
+      std::exit(2);
     }
+    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return flags;
 }
@@ -365,15 +375,6 @@ int main(int argc, char** argv) {
     cfg.hashes = flag_u64(flags, "hashes", 7);
     cfg.backend = server::parse_backend_spec(flag(flags, "backend", "auto"));
     cfg.shards = flag_u64(flags, "shards", 1);
-    cfg.owners = flag_u64(flags, "owners", 1);
-    const std::string engine = flag(flags, "engine", "auto");
-    if (engine == "on") {
-      cfg.engine = core::ShardedDetector::EngineMode::kSpscOwner;
-    } else if (engine == "off") {
-      cfg.engine = core::ShardedDetector::EngineMode::kMutex;
-    } else if (engine != "auto") {
-      usage(argv[0]);
-    }
 
     // Pre-generate every connection's stream so generation cost is outside
     // the timed window.

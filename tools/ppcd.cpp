@@ -1,8 +1,8 @@
 // ppcd — the click-stream ingest daemon.
 //
 //   ppcd --listen=127.0.0.1:4817 --window=jumping:1048576:8 [--memory-mib=16]
-//        [--hashes=7] [--sink=pool|sharded|tiered] [--shards=8] [--owners=2]
-//        [--engine=auto|on|off] [--flush=16384] [--loops=N] [--sndbuf=BYTES]
+//        [--hashes=7] [--sink=pool|sharded|tiered] [--shards=8] [--threads=2]
+//        [--flush=16384] [--loops=N] [--sndbuf=BYTES]
 //        [--snapshot=PATH] [--restore=PATH] [--stats-interval=SECS]
 //
 // Serves the wire protocol of src/server/wire.hpp on --loops epoll threads,
@@ -10,8 +10,8 @@
 // --sink=pool (default) routes clicks by ad id through an
 // adnet::DetectorPool, creating one detector per ad on first sight;
 // --sink=sharded feeds every click into a single core::ShardedDetector
-// (use --shards/--owners/--engine=on for the lock-free owner engine, which
-// makes each epoll thread an independent lane-leasing producer);
+// (--shards per-shard-locked detectors, whose batches fan out over
+// --threads lanes; epoll threads contend only on the shards they share);
 // --sink=tiered serves an OPEN tenant population through an
 // adnet::TieredDetectorPool — dedicated right-sized detectors for the ads
 // SpaceSaving flags hot, one shared tail filter for the long tail, all
@@ -65,6 +65,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "adnet/detector_pool.hpp"
@@ -110,8 +111,7 @@ namespace {
       "  --stats-interval=S   print a STATS report every S seconds (via a\n"
       "                       wire round trip, exercising the STATS frame)\n"
       "  --shards=S           shards per detector (default 1 = unsharded)\n"
-      "  --owners=T           engine owner threads / fan-out lanes\n"
-      "  --engine=auto|on|off lock-free owner engine for sharded detectors\n"
+      "  --threads=T          fan-out lanes per sharded detector (default 1)\n"
       "  --flush=N            coalesced-batch flush threshold (default 16384)\n"
       "  --loops=N            epoll event loops, each with an SO_REUSEPORT\n"
       "                       listener (default 1; must be 1..hw threads\n"
@@ -152,6 +152,16 @@ namespace {
   std::exit(2);
 }
 
+/// Every flag usage() lists; parse_flags refuses any other, so a misspelt
+/// flag cannot start the daemon on defaults.
+constexpr std::string_view kKnownFlags[] = {
+    "listen", "window", "memory-mib", "hashes", "backend", "sink",
+    "hot-fpr", "tail-window", "tail-fpr", "epoch", "promote-share",
+    "demote-share", "stats-interval", "shards", "threads", "flush", "loops",
+    "oversubscribe-loops", "sndbuf", "memory-cap-mib", "snapshot", "restore",
+    "enforce", "blocklist-export", "journal", "replicate-listen",
+    "repl-ring-batches", "repl-ring-mib", "follow"};
+
 std::map<std::string, std::string> parse_flags(int argc, char** argv) {
   std::map<std::string, std::string> flags;
   for (int i = 1; i < argc; ++i) {
@@ -160,11 +170,14 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
       usage(argv[0]);
     }
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const std::string key =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "ppcd: unknown flag --%s\n", key.c_str());
+      std::exit(2);
     }
+    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return flags;
 }
@@ -262,15 +275,7 @@ int main(int argc, char** argv) {
     cfg.hashes = flag_u64(flags, "hashes", 7);
     cfg.backend = server::parse_backend_spec(flag(flags, "backend", "auto"));
     cfg.shards = flag_u64(flags, "shards", 1);
-    cfg.owners = flag_u64(flags, "owners", 1);
-    const std::string engine = flag(flags, "engine", "auto");
-    if (engine == "on") {
-      cfg.engine = core::ShardedDetector::EngineMode::kSpscOwner;
-    } else if (engine == "off") {
-      cfg.engine = core::ShardedDetector::EngineMode::kMutex;
-    } else if (engine != "auto") {
-      usage(argv[0]);
-    }
+    cfg.owners = flag_u64(flags, "threads", 1);
 
     server::IngestServer::Options opts;
     opts.flush_clicks = flag_u64(flags, "flush", 16384);
@@ -478,10 +483,10 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     std::printf("ppcd: listening on %s:%u — sink=%s window=%s "
-                "shards=%zu owners=%zu engine=%s flush=%zu loops=%zu\n",
+                "shards=%zu threads=%zu flush=%zu loops=%zu\n",
                 host.c_str(), bound, active->describe().c_str(),
                 cfg.window.describe().c_str(), cfg.shards, cfg.owners,
-                engine.c_str(), opts.flush_clicks, opts.loops);
+                opts.flush_clicks, opts.loops);
     std::fflush(stdout);
 
     std::unique_ptr<server::ReplicationSource> repl_source;
