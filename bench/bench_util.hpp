@@ -5,6 +5,7 @@
 // trajectory future PRs can diff against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -95,6 +96,25 @@ struct Args {
     return paper_value >> scale_shift;
   }
 };
+
+/// Median and quartiles of repeated measurements. Each is one of the
+/// samples (nearest rank), so a figure always names a run that happened.
+struct Summary {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+/// Nearest-rank summary of a non-empty sample: quantile q is the value at
+/// rank round(q * (n - 1)) of the sorted sample.
+inline Summary summarize(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const auto rank = [&](double q) {
+    return values[static_cast<std::size_t>(
+        q * static_cast<double>(values.size() - 1) + 0.5)];
+  };
+  return {rank(0.25), rank(0.5), rank(0.75)};
+}
 
 /// Fixed-width table printing: header then rows of doubles/ints.
 inline void print_rule(std::size_t cols, int width = 14) {

@@ -15,10 +15,11 @@
 //                    decide() before the click, observe() after, rejected
 //                    clicks skipping observe exactly as the sink does
 //
-// The table reports ns/click per arm, the overhead delta, and the end-state
-// tier populations — the scenario-separation result (botnet blocked,
-// low-and-slow discounted, NAT clean/flagged) the enforce_test asserts is
-// reproduced here at bench scale.
+// The table reports ns/click per arm (median of the reps), the overhead
+// delta between the two medians, and the end-state tier populations — the
+// scenario-separation result (botnet blocked, low-and-slow discounted, NAT
+// clean/flagged) the enforce_test asserts is reproduced here at bench
+// scale.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -155,6 +156,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(std::thread::hardware_concurrency()));
   json.set_meta("clicks_per_scenario", static_cast<double>(clicks));
   json.set_meta("reps", reps);
+  json.set_meta("statistic", "median");
 
   std::printf("enforce_pipeline: %zu clicks/scenario, %d interleaved reps\n\n",
               clicks, reps);
@@ -165,7 +167,7 @@ int main(int argc, char** argv) {
 
   for (const Scenario& s : scenarios) {
     const double n = static_cast<double>(s.ips.size());
-    double best_base = 1e300, best_enf = 1e300;
+    std::vector<double> base_ns, enf_ns;
     std::uint64_t sink = 0;
     EnforceResult result;
     for (int rep = 0; rep < reps; ++rep) {
@@ -175,14 +177,16 @@ int main(int argc, char** argv) {
       const double t1 = now_ns();
       result = run_enforced(s, policy);
       const double t2 = now_ns();
-      best_base = std::min(best_base, (t1 - t0) / n);
-      best_enf = std::min(best_enf, (t2 - t1) / n);
+      base_ns.push_back((t1 - t0) / n);
+      enf_ns.push_back((t2 - t1) / n);
     }
+    const double base = benchutil::summarize(base_ns).median;
+    const double enf = benchutil::summarize(enf_ns).median;
     if (sink == 0xdead) std::printf(" ");  // keep the baseline loop alive
 
     const auto& st = result.stats;
     std::printf("%13s ", s.name.c_str());
-    benchutil::print_row({best_base, best_enf, best_enf - best_base,
+    benchutil::print_row({base, enf, enf - base,
                           static_cast<double>(result.rejected),
                           static_cast<double>(st.blocked),
                           static_cast<double>(st.discounted),
@@ -190,9 +194,9 @@ int main(int argc, char** argv) {
                          14);
     // The separation rows are the contract: botnet ends blocked,
     // low-and-slow ends discounted-or-worse, the NAT crowd ends unblocked.
-    json.add(s.name, {{"ns_per_click_baseline", best_base},
-                      {"ns_per_click_enforced", best_enf},
-                      {"ns_overhead", best_enf - best_base},
+    json.add(s.name, {{"ns_per_click_baseline", base},
+                      {"ns_per_click_enforced", enf},
+                      {"ns_overhead", enf - base},
                       {"rejected", static_cast<double>(result.rejected)},
                       {"sources", static_cast<double>(st.sources)},
                       {"blocked", static_cast<double>(st.blocked)},

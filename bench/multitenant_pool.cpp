@@ -380,17 +380,13 @@ int main(int argc, char** argv) {
 
   // Median and quartiles (nearest rank) over the repetitions: the figure
   // to quote, since this shared host only ever slows a repetition down.
-  std::sort(rep_mcps.begin(), rep_mcps.end());
-  const auto rank = [&](double q) {
-    return rep_mcps[static_cast<std::size_t>(
-        q * static_cast<double>(rep_mcps.size() - 1) + 0.5)];
-  };
+  const benchutil::Summary s = benchutil::summarize(rep_mcps);
   std::printf("\n%13s   median %.3f Mclicks/s (quartiles %.3f-%.3f, %d reps)\n",
-              "tiered", rank(0.5), rank(0.25), rank(0.75), kReps);
+              "tiered", s.median, s.q1, s.q3, kReps);
   json.add("tiered_summary", {{"reps", static_cast<double>(kReps)},
-                              {"mclicks_per_s_median", rank(0.5)},
-                              {"mclicks_per_s_q1", rank(0.25)},
-                              {"mclicks_per_s_q3", rank(0.75)}});
+                              {"mclicks_per_s_median", s.median},
+                              {"mclicks_per_s_q1", s.q1},
+                              {"mclicks_per_s_q3", s.q3}});
 
   std::printf(
       "\n(tiered serves the whole stream inside the cap; naive_pool is the\n"

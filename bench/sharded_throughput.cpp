@@ -130,8 +130,7 @@ double median_cps(core::ShardedDetector& d,
     d.reset();
     c = run(d, ids);
   }
-  std::nth_element(cps.begin(), cps.begin() + kReps / 2, cps.end());
-  return cps[kReps / 2];
+  return benchutil::summarize(std::move(cps)).median;
 }
 
 struct Algo {

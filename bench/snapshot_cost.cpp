@@ -4,11 +4,11 @@
 // every snapshot-capable layer — GBF, TBF, ShardedDetector (saving each
 // shard under its lock), and a 64-ad DetectorPool — and measures:
 //   * save_us / restore_us — in-memory serialize/deserialize wall time
-//     (best of 5, after warming the filter to a realistic fill);
+//     (median of 5, after warming the filter to a realistic fill);
 //   * bytes — the serialized size, CRC envelope included;
 //   * file_us — for the sharded arm, IngestServer::save_sink_snapshot's
 //     full atomic file protocol (temp + write + fsync + rename), i.e. what
-//     a SIGTERM drain adds before the process may exit.
+//     a SIGTERM drain adds before the process may exit (median of 5).
 // The checked-in BENCH_snapshot_cost.json is this bench's output; a PR that
 // bloats the format or slows a save shows up as a diff there.
 #include <chrono>
@@ -58,20 +58,19 @@ struct Cost {
   double bytes = 0;
 };
 
-/// Best-of-`reps` in-memory save + restore-into-fresh-instance timing.
+/// Median-of-`reps` in-memory save + restore-into-fresh-instance timing.
 template <typename MakeFn>
 Cost measure(const MakeFn& make, std::uint64_t warm_arrivals,
              int reps = 5) {
   auto live = make();
   warm(*live, warm_arrivals, 7);
   Cost cost;
-  cost.save_us = 1e18;
-  cost.restore_us = 1e18;
+  std::vector<double> save_us, restore_us;
   for (int rep = 0; rep < reps; ++rep) {
     std::ostringstream out(std::ios::binary);
     auto t0 = std::chrono::steady_clock::now();
     live->save(out);
-    cost.save_us = std::min(cost.save_us, seconds_since(t0) * 1e6);
+    save_us.push_back(seconds_since(t0) * 1e6);
     const std::string bytes = out.str();
     cost.bytes = static_cast<double>(bytes.size());
 
@@ -79,8 +78,10 @@ Cost measure(const MakeFn& make, std::uint64_t warm_arrivals,
     std::istringstream in(bytes, std::ios::binary);
     t0 = std::chrono::steady_clock::now();
     fresh->restore(in);
-    cost.restore_us = std::min(cost.restore_us, seconds_since(t0) * 1e6);
+    restore_us.push_back(seconds_since(t0) * 1e6);
   }
+  cost.save_us = benchutil::summarize(save_us).median;
+  cost.restore_us = benchutil::summarize(restore_us).median;
   return cost;
 }
 
@@ -98,18 +99,18 @@ core::ShardedDetector::Factory shard_factory(std::uint64_t total_bits) {
 }
 
 /// The drain-time file protocol (temp + write + fsync + rename) for a
-/// detector behind a DetectorSink; best-of-`reps` microseconds.
+/// detector behind a DetectorSink; median-of-`reps` microseconds.
 double measure_file_us(core::DuplicateDetector& d, int reps = 5) {
   server::DetectorSink sink(d);
   const std::string path = "/tmp/ppc_snapshot_cost.snap";
-  double best = 1e18;
+  std::vector<double> us;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     server::IngestServer::save_sink_snapshot(sink, path);
-    best = std::min(best, seconds_since(t0) * 1e6);
+    us.push_back(seconds_since(t0) * 1e6);
   }
   std::remove(path.c_str());
-  return best;
+  return benchutil::summarize(us).median;
 }
 
 }  // namespace
@@ -120,6 +121,7 @@ int main(int argc, char** argv) {
   json.set_meta("hw_threads",
                 static_cast<double>(runtime::ThreadPool::hardware_threads()));
   json.set_meta("cpu_model", benchutil::cpu_model_string());
+  json.set_meta("statistic", "median of 5");
 
   std::printf("snapshot cost (save/restore wall time vs filter memory; "
               "file = atomic write + fsync of the sharded arm)\n\n");

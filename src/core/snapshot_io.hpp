@@ -3,7 +3,6 @@
 // std::runtime_error rather than silently wrong filter state.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -12,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "hashing/crc32.hpp"
 
 namespace ppc::core::detail {
 
@@ -123,29 +124,10 @@ inline constexpr std::uint64_t kSnapshotFormatVersion = 1;
 /// Hard cap on one section payload: 2 GiB, matching kMaxSnapshotWords.
 inline constexpr std::uint64_t kMaxSectionBytes = std::uint64_t{1} << 31;
 
-// CRC-32 (IEEE 0xEDB88320), compile-time table. Deliberately the same
-// checksum the wire protocol uses (src/server/wire.hpp) so one reference
-// implementation validates both; duplicated here because core cannot
-// depend on server.
-inline constexpr auto kSnapshotCrcTable = [] {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int b = 0; b < 8; ++b) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}();
-
-inline std::uint32_t snapshot_crc32(const char* data, std::size_t len) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = kSnapshotCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFF] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+/// The section checksum: the same CRC-32 the wire frames carry.
+inline std::uint32_t section_crc32(const std::string& payload) {
+  return hashing::crc32(
+      {reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()});
 }
 
 /// Wraps `payload` in a section header (magic, version, length, CRC) and
@@ -155,7 +137,7 @@ inline void write_section(std::ostream& out, std::uint64_t magic,
   write_u64(out, magic);
   write_u64(out, kSnapshotFormatVersion);
   write_u64(out, payload.size());
-  write_u64(out, snapshot_crc32(payload.data(), payload.size()));
+  write_u64(out, section_crc32(payload));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
@@ -200,7 +182,7 @@ inline std::string read_section(std::istream& in, std::uint64_t magic,
     throw std::runtime_error(std::string("snapshot: ") + what +
                              ": truncated section payload");
   }
-  if (snapshot_crc32(payload.data(), payload.size()) != stored_crc) {
+  if (section_crc32(payload) != stored_crc) {
     throw std::runtime_error(std::string("snapshot: ") + what +
                              ": checksum mismatch (corrupt snapshot)");
   }

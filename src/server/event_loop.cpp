@@ -10,7 +10,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -38,9 +37,6 @@ void set_nonblocking(int fd) {
 
 void Connection::consume(std::size_t n) noexcept {
   rpos_ += n;
-  // While pending ingest spans pin the buffer, only the cursor moves; the
-  // reclaim below runs when release_read_buffer() re-enters with held_ off.
-  if (held_) return;
   if (rpos_ >= rlen_) {
     rlen_ = 0;
     rpos_ = 0;
@@ -53,15 +49,11 @@ void Connection::consume(std::size_t n) noexcept {
   }
 }
 
-void Connection::append_out(const std::uint8_t* data, std::size_t n) {
-  if (n == 0) return;
-  if (wbuf_.size() < wlen_ + n) wbuf_.resize(wlen_ + n);
-  std::memcpy(wbuf_.data() + wlen_, data, n);
-  wlen_ += n;
-}
-
 void Connection::send(std::span<const std::uint8_t> bytes) {
-  append_out(bytes.data(), bytes.size());
+  if (bytes.empty()) return;
+  if (wbuf_.size() < wlen_ + bytes.size()) wbuf_.resize(wlen_ + bytes.size());
+  std::memcpy(wbuf_.data() + wlen_, bytes.data(), bytes.size());
+  wlen_ += bytes.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -146,11 +138,6 @@ Connection* EventLoop::find(std::uint64_t id) noexcept {
   return it == conns_.end() || it->second->dead ? nullptr : it->second.get();
 }
 
-Connection* EventLoop::find_any(std::uint64_t id) noexcept {
-  const auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : it->second.get();
-}
-
 void EventLoop::run() {
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -176,7 +163,7 @@ void EventLoop::run() {
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         // Flush whatever the kernel will still take, then drop the peer.
         flush_writes(*conn);
-        mark_dead(*conn, "peer hung up");
+        mark_dead(*conn);
         continue;
       }
       if ((events[i].events & EPOLLIN) != 0) conn_readable(*conn);
@@ -191,7 +178,7 @@ void EventLoop::run() {
       if (conn->dead) continue;
       flush_writes(*conn);
       if (conn->closing_ && conn->pending_write_bytes() == 0) {
-        mark_dead(*conn, "closed after flush");
+        mark_dead(*conn);
       }
     }
     reap_dead();
@@ -228,9 +215,8 @@ void EventLoop::accept_ready() {
       return;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    Connection& ref = *conn;
-    conns_.emplace(ref.id_, std::move(conn));
-    handler_.on_open(ref);
+    const std::uint64_t id = conn->id_;
+    conns_.emplace(id, std::move(conn));
   }
 }
 
@@ -238,7 +224,7 @@ void EventLoop::conn_readable(Connection& conn) {
   while (!conn.dead && !conn.closing_) {
     const std::size_t unconsumed = conn.rlen_ - conn.rpos_;
     if (unconsumed >= opts_.max_read_buffer) {
-      mark_dead(conn, "read buffer cap exceeded (handler not consuming)");
+      mark_dead(conn);  // read buffer cap exceeded: handler not consuming
       return;
     }
     // rbuf_.size() is capacity; grow it only when the valid bytes approach
@@ -253,23 +239,22 @@ void EventLoop::conn_readable(Connection& conn) {
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      mark_dead(conn, std::string("read error: ") + std::strerror(errno));
+      mark_dead(conn);
       return;
     }
-    if (n == 0) {
+    if (n == 0) {  // peer closed
       flush_writes(conn);
-      mark_dead(conn, "peer closed");
+      mark_dead(conn);
       return;
     }
     conn.rlen_ += static_cast<std::size_t>(n);
     bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                         std::memory_order_relaxed);
-    std::string why;
-    if (!handler_.on_data(conn, why)) {
+    if (!handler_.on_data(conn)) {
       // Protocol violation: flush any queued reply (a HELLO_ACK may be in
       // flight), then close.
       flush_writes(conn);
-      mark_dead(conn, why.empty() ? "protocol error" : why);
+      mark_dead(conn);
       return;
     }
     // Backpressure: stop pulling more input while this connection's
@@ -290,7 +275,7 @@ void EventLoop::flush_writes(Connection& conn) {
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      mark_dead(conn, std::string("write error: ") + std::strerror(errno));
+      mark_dead(conn);
       return;
     }
     conn.wpos_ += static_cast<std::size_t>(n);
@@ -305,70 +290,6 @@ void EventLoop::flush_writes(Connection& conn) {
                  conn.wlen_ - conn.wpos_);
     conn.wlen_ -= conn.wpos_;
     conn.wpos_ = 0;
-  }
-  update_interest(conn);
-}
-
-void EventLoop::send_vectored(Connection& conn,
-                              std::span<const OutSlice> slices) {
-  if (conn.dead) return;
-  std::size_t idx = 0;  // first slice not fully written
-  std::size_t off = 0;  // progress within slices[idx]
-  // The direct writev path is only correct when nothing is queued ahead of
-  // these bytes; otherwise append in order behind the queue.
-  if (conn.pending_write_bytes() == 0 && !conn.closing_) {
-    while (idx < slices.size()) {
-      iovec iov[64];
-      int cnt = 0;
-      for (std::size_t i = idx; i < slices.size() && cnt < 64; ++i) {
-        const std::size_t skip = i == idx ? off : 0;
-        if (slices[i].len <= skip) continue;  // empty slice
-        iov[cnt].iov_base =
-            const_cast<std::uint8_t*>(slices[i].data + skip);
-        iov[cnt].iov_len = slices[i].len - skip;
-        ++cnt;
-      }
-      if (cnt == 0) break;  // nothing but empties left
-      std::size_t batch_bytes = 0;
-      for (int k = 0; k < cnt; ++k) batch_bytes += iov[k].iov_len;
-      const ssize_t n = ::writev(conn.fd_, iov, cnt);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        mark_dead(conn, std::string("writev error: ") + std::strerror(errno));
-        return;
-      }
-      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
-      std::size_t adv = static_cast<std::size_t>(n);
-      while (idx < slices.size() && adv > 0) {
-        const std::size_t avail = slices[idx].len - off;
-        if (adv < avail) {
-          off += adv;
-          adv = 0;
-        } else {
-          adv -= avail;
-          ++idx;
-          off = 0;
-        }
-      }
-      // Skip any fully-written or empty slices the cursor landed on.
-      while (idx < slices.size() && slices[idx].len - off == 0) {
-        ++idx;
-        off = 0;
-      }
-      if (static_cast<std::size_t>(n) < batch_bytes) {
-        // Partial write: the socket buffer is full, so retrying now would
-        // just spin on EAGAIN; buffer the rest.
-        break;
-      }
-    }
-  }
-  // Whatever did not reach the socket is copied behind the write buffer so
-  // the normal flush path delivers it in order.
-  for (; idx < slices.size(); ++idx) {
-    conn.append_out(slices[idx].data + off, slices[idx].len - off);
-    off = 0;
   }
   update_interest(conn);
 }
@@ -401,21 +322,17 @@ void EventLoop::update_interest(Connection& conn) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd_, &ev);
 }
 
-void EventLoop::mark_dead(Connection& conn, const std::string& reason) {
+void EventLoop::mark_dead(Connection& conn) {
   if (conn.dead) return;
   conn.dead = true;
-  dead_.emplace_back(conn.id_, reason);
+  dead_.push_back(conn.id_);
 }
 
 void EventLoop::reap_dead() {
-  // Index loop with a copied entry: on_close may flush pending ingest
-  // state, and that flush can mark FURTHER connections dead (write
-  // errors), growing dead_ mid-sweep — those are reaped in this same pass.
-  for (std::size_t i = 0; i < dead_.size(); ++i) {
-    const auto [id, reason] = dead_[i];
+  // mark_dead queues each connection once and only this sweep erases it,
+  // so every queued id is still in conns_.
+  for (const std::uint64_t id : dead_) {
     const auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    handler_.on_close(*it->second, reason);
     epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd_, nullptr);
     ::close(it->second->fd_);
     conns_.erase(it);

@@ -26,21 +26,11 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace ppc::server {
 
 class ConnectionHandler;
-
-/// One span of bytes for a vectored send. The pointed-at bytes must stay
-/// valid only for the duration of the EventLoop::send_vectored call (any
-/// unsent remainder is copied into the connection's write buffer before it
-/// returns).
-struct OutSlice {
-  const std::uint8_t* data = nullptr;
-  std::size_t len = 0;
-};
 
 /// One accepted socket plus its elastic buffers. Owned by the EventLoop;
 /// handlers receive references that are valid only during the callback
@@ -57,22 +47,9 @@ class Connection {
   }
   void consume(std::size_t n) noexcept;
 
-  /// Zero-copy ingest support. While the buffer is held, consume() only
-  /// advances the consumed cursor — it never compacts or resets the
-  /// backing storage — so a byte offset into buffer_base() taken before
-  /// consume() still addresses the same bytes after it. The storage may
-  /// still GROW (reallocate) when more data arrives, which is why spans
-  /// into the buffer are recorded as offsets and re-resolved against
-  /// buffer_base() at use time, never kept as raw pointers.
-  void hold_read_buffer() noexcept { held_ = true; }
-  void release_read_buffer() noexcept {
-    held_ = false;
-    consume(0);  // run the deferred reclaim with consistent accounting
-  }
-  const std::uint8_t* buffer_base() const noexcept { return rbuf_.data(); }
-
   /// Queues bytes for transmission (copies into the write buffer; the
-  /// loop flushes opportunistically). Loop-thread only.
+  /// loop flushes at the end of the round, or at once through
+  /// EventLoop::flush_writes). Loop-thread only.
   void send(std::span<const std::uint8_t> bytes);
 
   /// Flush whatever is queued, then close. No further reads are processed.
@@ -91,8 +68,6 @@ class Connection {
  private:
   friend class EventLoop;
 
-  void append_out(const std::uint8_t* data, std::size_t n);
-
   std::uint64_t id_ = 0;
   int fd_ = -1;
   // Both buffers split valid length from vector size: the vector's size is
@@ -106,7 +81,6 @@ class Connection {
   std::vector<std::uint8_t> wbuf_;
   std::size_t wlen_ = 0;  ///< valid bytes in wbuf_
   std::size_t wpos_ = 0;  ///< transmitted prefix of wbuf_
-  bool held_ = false;          ///< read buffer pinned by pending spans
   bool reads_paused_ = false;
   bool closing_ = false;       ///< close once wbuf drains
   bool dead = false;           ///< queued for removal this dispatch round
@@ -118,12 +92,9 @@ class Connection {
 class ConnectionHandler {
  public:
   virtual ~ConnectionHandler() = default;
-  virtual void on_open(Connection&) {}
   /// New bytes are available in conn.readable(); consume what parses.
-  /// Return false to close the connection (protocol error); `why` is
-  /// reported to on_close.
-  virtual bool on_data(Connection& conn, std::string& why) = 0;
-  virtual void on_close(Connection&, const std::string& /*reason*/) {}
+  /// Return false to close the connection (protocol error).
+  virtual bool on_data(Connection& conn) = 0;
   /// Runs once per dispatch round after every ready event was handled —
   /// the hook where the server flushes its coalesced click batch.
   virtual void on_round_end() {}
@@ -186,18 +157,10 @@ class EventLoop {
   /// Loop-thread only: connection by id (nullptr once closed).
   Connection* find(std::uint64_t id) noexcept;
 
-  /// Like find(), but also returns connections already marked dead this
-  /// round (their buffers are alive until reap). The ingest flush uses
-  /// this to resolve pending spans into a connection that errored after
-  /// queueing clicks but before the round-end flush.
-  Connection* find_any(std::uint64_t id) noexcept;
-
-  /// Vectored send: writes the slices straight to the socket with writev
-  /// when nothing is queued ahead of them, copying only the unsent
-  /// remainder into the write buffer if the socket would block mid-iovec.
-  /// Falls back to a plain buffered append when bytes are already queued
-  /// (ordering) or the connection is closing.
-  void send_vectored(Connection& conn, std::span<const OutSlice> slices);
+  /// Writes as much of the connection's queued bytes as the socket takes
+  /// now, then retunes its interest (EPOLLOUT, backpressure). Loop-thread
+  /// only; a write error marks the connection dead.
+  void flush_writes(Connection& conn);
 
   /// After run() returns: best-effort synchronous flush of every
   /// connection's remaining write buffer (sockets switched back to
@@ -218,9 +181,8 @@ class EventLoop {
  private:
   void accept_ready();
   void conn_readable(Connection& conn);
-  void flush_writes(Connection& conn);
   void update_interest(Connection& conn);
-  void mark_dead(Connection& conn, const std::string& reason);
+  void mark_dead(Connection& conn);
   void reap_dead();
 
   ConnectionHandler& handler_;
@@ -232,7 +194,7 @@ class EventLoop {
   std::atomic<bool> stop_{false};
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::vector<std::pair<std::uint64_t, std::string>> dead_;  ///< id, reason
+  std::vector<std::uint64_t> dead_;  ///< ids to reap this round
 
   // Stats are written by the loop thread and read from test/monitor
   // threads; relaxed atomics keep that TSan-clean without ordering cost.

@@ -32,42 +32,32 @@ class IngestServer::LoopWorker final : public ConnectionHandler {
   const EventLoop& loop() const noexcept { return loop_; }
 
   // ConnectionHandler (loop thread only):
-  bool on_data(Connection& conn, std::string& why) override;
-  void on_close(Connection& conn, const std::string& reason) override;
+  bool on_data(Connection& conn) override;
   void on_round_end() override { flush_pending(); }
 
-  /// Offers the pending clicks, scatters verdict/drain-ack frames back per
-  /// connection (writev), and releases the pinned receive buffers. Runs on
-  /// the loop thread during service and on the drain caller afterwards.
+  /// Offers the pending clicks, queues each verdict/drain-ack frame on its
+  /// connection, and writes every connection that got replies. Runs on the
+  /// loop thread during service and on the drain caller afterwards.
   void flush_pending();
 
  private:
   /// One frame awaiting a reply, in FIFO arrival order across the loop's
-  /// connections. A CLICK_BATCH entry records `count` click records
-  /// starting `rbuf_offset` bytes into connection `conn_id`'s receive
-  /// buffer (the buffer is held, so the offset stays valid until the
-  /// flush). A DRAIN entry (drain_ack == true, count == 0) marks where the
-  /// DRAIN_ACK belongs relative to the verdicts around it.
+  /// connections. A click frame owns the next `count` clicks of the
+  /// pending columns. A DRAIN entry (drain_ack == true, count == 0) marks
+  /// where the DRAIN_ACK belongs relative to the verdicts around it.
   struct PendingReply {
     std::uint64_t conn_id;
     std::uint64_t seq;
     std::uint32_t count;
-    std::size_t rbuf_offset;
-    std::size_t flat_offset;  ///< assigned during flush pass 1
     bool drain_ack;
-    bool v2;  ///< records are 24-byte ClickRecordV2 (carry source IPs)
-  };
-
-  /// One encoded reply frame in arena_, owed to conn_id. Offsets, not
-  /// pointers: the arena reallocates while frames are appended.
-  struct Segment {
-    std::uint64_t conn_id;
-    std::size_t off;
-    std::size_t len;
   };
 
   bool handle_frame(Connection& conn, const wire::FrameView& frame,
                     std::string& why);
+  /// Queues a click frame of `count` clicks for `conn` and returns the
+  /// column index its first click is decoded to.
+  std::size_t push_clicks(const Connection& conn, std::uint64_t seq,
+                          std::uint32_t count);
 
   IngestServer& srv_;
   std::uint32_t loop_id_;
@@ -75,46 +65,54 @@ class IngestServer::LoopWorker final : public ConnectionHandler {
 
   std::vector<PendingReply> pending_replies_;
   std::size_t pending_clicks_ = 0;
-  bool flush_requested_ = false;  ///< a DRAIN wants its ack this round
-  std::vector<std::uint64_t> held_conns_;  ///< conns with pinned rbufs
 
-  // Flush scratch, reused across flushes to stay allocation-free at
-  // steady state.
+  // The pending clicks, decoded on arrival in FIFO frame order. The
+  // vectors' sizes are capacity and only grow, so steady state allocates
+  // nothing; pending_clicks_ is the valid prefix.
   std::vector<std::uint32_t> ads_;
   std::vector<core::ClickId> ids_;
   std::vector<std::uint64_t> times_;
-  std::vector<std::uint32_t> sources_;  ///< 0 for v1 spans
-  std::vector<char> verdicts_;            ///< bool-compatible storage
-  std::vector<std::uint8_t> arena_;       ///< encoded reply frames
-  std::vector<Segment> segments_;
-  std::vector<std::uint64_t> conn_order_;
-  std::vector<OutSlice> slices_;
-  std::vector<std::uint8_t> reply_scratch_;  ///< HELLO_ACK/PONG encoding
+  std::vector<std::uint32_t> sources_;  ///< 0 for v1 frames
+  std::vector<char> verdicts_;          ///< bool-compatible storage
+  std::vector<std::uint64_t> replied_;  ///< conns that got replies
+  std::vector<std::uint8_t> reply_scratch_;  ///< one encoded reply frame
 };
 
-bool IngestServer::LoopWorker::on_data(Connection& conn, std::string& why) {
+bool IngestServer::LoopWorker::on_data(Connection& conn) {
+  std::string why;  // parser detail; the connection closes either way
   while (true) {
     wire::FrameView frame;
     std::size_t consumed = 0;
     const wire::DecodeStatus status =
         wire::decode_frame(conn.readable(), frame, consumed, why);
     if (status == wire::DecodeStatus::kNeedMore) return true;
-    if (status == wire::DecodeStatus::kError) {
-      srv_.protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (!handle_frame(conn, frame, why)) {
+    if (status == wire::DecodeStatus::kError ||
+        !handle_frame(conn, frame, why)) {
       srv_.protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     conn.consume(consumed);
     // A frame-level flush keeps the pending batch micro-batch sized even
-    // when one read() delivers many frames at once; a DRAIN flushes
-    // immediately so its ack follows the verdicts it owes.
-    if (flush_requested_ || pending_clicks_ >= srv_.opts_.flush_clicks) {
-      flush_pending();
-    }
+    // when one read() delivers many frames at once.
+    if (pending_clicks_ >= srv_.opts_.flush_clicks) flush_pending();
   }
+}
+
+std::size_t IngestServer::LoopWorker::push_clicks(const Connection& conn,
+                                                  std::uint64_t seq,
+                                                  std::uint32_t count) {
+  srv_.click_frames_.fetch_add(1, std::memory_order_relaxed);
+  pending_replies_.push_back({conn.id(), seq, count, /*drain_ack=*/false});
+  const std::size_t at = pending_clicks_;
+  pending_clicks_ += count;
+  if (ads_.size() < pending_clicks_) {
+    ads_.resize(pending_clicks_);
+    ids_.resize(pending_clicks_);
+    times_.resize(pending_clicks_);
+    sources_.resize(pending_clicks_);
+    verdicts_.resize(pending_clicks_);
+  }
+  return at;
 }
 
 bool IngestServer::LoopWorker::handle_frame(Connection& conn,
@@ -150,23 +148,12 @@ bool IngestServer::LoopWorker::handle_frame(Connection& conn,
     case wire::FrameType::kClickBatch: {
       wire::ClickBatchView batch;
       if (!wire::parse_click_batch(frame.payload, batch, why)) return false;
-      srv_.click_frames_.fetch_add(1, std::memory_order_relaxed);
-      // Zero-copy enqueue: pin the receive buffer and remember where the
-      // records sit in it. consume() below only moves the cursor while the
-      // buffer is held, and growth reallocations keep prefixes intact, so
-      // the offset — unlike a pointer — survives until the flush.
-      if (batch.count > 0) {
-        if (std::find(held_conns_.begin(), held_conns_.end(), conn.id()) ==
-            held_conns_.end()) {
-          conn.hold_read_buffer();
-          held_conns_.push_back(conn.id());
-        }
-        pending_clicks_ += batch.count;
-      }
-      pending_replies_.push_back(
-          {conn.id(), batch.seq, batch.count,
-           static_cast<std::size_t>(batch.records - conn.buffer_base()),
-           /*flat_offset=*/0, /*drain_ack=*/false, /*v2=*/false});
+      const std::size_t at = push_clicks(conn, batch.seq, batch.count);
+      wire::deinterleave_clicks(batch.records, batch.count, ads_.data() + at,
+                                ids_.data() + at, times_.data() + at);
+      // v1 records carry no attribution; 0 is the "no source" sentinel an
+      // enforcement sink must pass through unexamined.
+      std::fill_n(sources_.data() + at, batch.count, std::uint32_t{0});
       return true;
     }
     case wire::FrameType::kClickBatchV2: {
@@ -176,19 +163,10 @@ bool IngestServer::LoopWorker::handle_frame(Connection& conn,
       }
       wire::ClickBatchV2View batch;
       if (!wire::parse_click_batch_v2(frame.payload, batch, why)) return false;
-      srv_.click_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (batch.count > 0) {
-        if (std::find(held_conns_.begin(), held_conns_.end(), conn.id()) ==
-            held_conns_.end()) {
-          conn.hold_read_buffer();
-          held_conns_.push_back(conn.id());
-        }
-        pending_clicks_ += batch.count;
-      }
-      pending_replies_.push_back(
-          {conn.id(), batch.seq, batch.count,
-           static_cast<std::size_t>(batch.records - conn.buffer_base()),
-           /*flat_offset=*/0, /*drain_ack=*/false, /*v2=*/true});
+      const std::size_t at = push_clicks(conn, batch.seq, batch.count);
+      wire::deinterleave_clicks_v2(batch.records, batch.count,
+                                   ads_.data() + at, ids_.data() + at,
+                                   times_.data() + at, sources_.data() + at);
       return true;
     }
     case wire::FrameType::kPing: {
@@ -204,14 +182,11 @@ bool IngestServer::LoopWorker::handle_frame(Connection& conn,
       if (!wire::parse_drain(frame.payload, why)) return false;
       srv_.drains_.fetch_add(1, std::memory_order_relaxed);
       // The ack must follow the verdicts of every click this connection
-      // sent before the DRAIN. Enqueueing it as a pending entry keeps that
-      // FIFO order through the flush; the flush itself runs right after
-      // this frame is consumed (flush_requested_), not here — flushing
-      // mid-frame would release buffers the caller's consume() accounting
-      // still depends on.
-      pending_replies_.push_back(
-          {conn.id(), 0, 0, 0, 0, /*drain_ack=*/true, /*v2=*/false});
-      flush_requested_ = true;
+      // sent before the DRAIN: queued as a pending entry, it keeps that
+      // FIFO order through the flush, which runs now so the ack does not
+      // wait for the round to end.
+      pending_replies_.push_back({conn.id(), 0, 0, /*drain_ack=*/true});
+      flush_pending();
       return true;
     }
     case wire::FrameType::kStats: {
@@ -250,131 +225,58 @@ bool IngestServer::LoopWorker::handle_frame(Connection& conn,
   return false;
 }
 
-void IngestServer::LoopWorker::on_close(Connection& conn,
-                                        const std::string& /*reason*/) {
-  // A connection about to be reaped may still back pending spans (it died
-  // after queueing clicks but before a flush). Flush now, while its
-  // receive buffer is alive: the clicks were accepted into the window, so
-  // they must reach the sink; the verdicts owed to the dead connection are
-  // computed and dropped (find() no longer returns it).
-  for (const PendingReply& r : pending_replies_) {
-    if (r.conn_id == conn.id()) {
-      flush_pending();
-      return;
-    }
-  }
-}
-
 void IngestServer::LoopWorker::flush_pending() {
-  flush_requested_ = false;
   if (pending_replies_.empty()) return;
-  const std::size_t total = pending_clicks_;
-  if (ads_.size() < total) {
-    ads_.resize(total);
-    ids_.resize(total);
-    times_.resize(total);
-    sources_.resize(total);
-  }
-  if (verdicts_.size() < total) verdicts_.resize(total);
-
-  // Pass 1: deinterleave every pending span straight out of its
-  // connection's receive buffer into the flat columns. find_any: a
-  // connection marked dead this round still owns its buffer until reaped.
-  std::size_t n = 0;
-  for (PendingReply& r : pending_replies_) {
-    r.flat_offset = n;
-    if (r.count == 0) continue;
-    Connection* conn = loop_.find_any(r.conn_id);
-    if (conn == nullptr) {
-      // Unreachable in the loop's lifecycle (on_close flushes before the
-      // buffer dies); tolerate it by dropping the span rather than reading
-      // freed memory.
-      r.count = 0;
-      continue;
-    }
-    if (r.v2) {
-      wire::deinterleave_clicks_v2(conn->buffer_base() + r.rbuf_offset,
-                                   r.count, ads_.data() + n, ids_.data() + n,
-                                   times_.data() + n, sources_.data() + n);
-    } else {
-      wire::deinterleave_clicks(conn->buffer_base() + r.rbuf_offset, r.count,
-                                ads_.data() + n, ids_.data() + n,
-                                times_.data() + n);
-      // v1 records carry no attribution; 0 is the "no source" sentinel an
-      // enforcement sink must pass through unexamined.
-      std::fill_n(sources_.data() + n, r.count, std::uint32_t{0});
-    }
-    n += r.count;
-  }
-
+  const std::size_t n = pending_clicks_;
+  bool* out = reinterpret_cast<bool*>(verdicts_.data());
   if (n > 0) {
     std::fill_n(verdicts_.data(), n, char{0});
-    const std::span<bool> out(reinterpret_cast<bool*>(verdicts_.data()), n);
     srv_.offer_to_sink({ads_.data(), n}, {ids_.data(), n}, {times_.data(), n},
-                       {sources_.data(), n}, out);
+                       {sources_.data(), n}, {out, n});
     srv_.flushes_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Pass 2: encode replies into the arena in FIFO order, recording one
-  // segment per frame. DRAIN_ACK totals are exact at the drain's position
-  // in the stream because earlier entries updated conn->clicks first.
-  arena_.clear();
-  segments_.clear();
-  const bool* out = reinterpret_cast<const bool*>(verdicts_.data());
+  // Queue the replies in FIFO order. DRAIN_ACK totals are exact at the
+  // drain's position in the stream because earlier entries updated
+  // conn->clicks first. A connection closed since its frames arrived
+  // still had its clicks offered above; only its verdicts are dropped.
+  replied_.clear();
+  std::size_t at = 0;
   std::uint64_t batch_dups = 0;
   for (const PendingReply& r : pending_replies_) {
-    Connection* conn = loop_.find(r.conn_id);
-    if (r.drain_ack) {
-      if (conn == nullptr) continue;
-      const std::size_t off = arena_.size();
-      wire::append_drain_ack(arena_, conn->clicks, conn->duplicates);
-      segments_.push_back({r.conn_id, off, arena_.size() - off});
-      continue;
-    }
-    std::uint64_t frame_dups = 0;
-    for (std::uint32_t i = 0; i < r.count; ++i) {
-      frame_dups += out[r.flat_offset + i] ? 1 : 0;
-    }
+    const std::span<const bool> verdicts(out + at, r.count);
+    at += r.count;
+    const auto frame_dups = static_cast<std::uint64_t>(
+        std::count(verdicts.begin(), verdicts.end(), true));
     batch_dups += frame_dups;
-    if (conn == nullptr) continue;  // verdicts with nowhere to go
-    conn->clicks += r.count;
-    conn->duplicates += frame_dups;
-    const std::size_t off = arena_.size();
-    wire::append_verdict_batch(
-        arena_, r.seq, std::span<const bool>(out + r.flat_offset, r.count));
-    segments_.push_back({r.conn_id, off, arena_.size() - off});
+    Connection* conn = loop_.find(r.conn_id);
+    if (conn == nullptr) continue;
+    reply_scratch_.clear();
+    if (r.drain_ack) {
+      wire::append_drain_ack(reply_scratch_, conn->clicks, conn->duplicates);
+    } else {
+      conn->clicks += r.count;
+      conn->duplicates += frame_dups;
+      wire::append_verdict_batch(reply_scratch_, r.seq, verdicts);
+    }
+    conn->send(reply_scratch_);
+    if (std::find(replied_.begin(), replied_.end(), r.conn_id) ==
+        replied_.end()) {
+      replied_.push_back(r.conn_id);
+    }
   }
   srv_.clicks_.fetch_add(n, std::memory_order_relaxed);
   srv_.duplicates_.fetch_add(batch_dups, std::memory_order_relaxed);
-
-  // Pass 3: one vectored send per connection, its segments in FIFO order.
-  conn_order_.clear();
-  for (const Segment& s : segments_) {
-    if (std::find(conn_order_.begin(), conn_order_.end(), s.conn_id) ==
-        conn_order_.end()) {
-      conn_order_.push_back(s.conn_id);
-    }
-  }
-  for (const std::uint64_t cid : conn_order_) {
-    slices_.clear();
-    for (const Segment& s : segments_) {
-      if (s.conn_id == cid) {
-        slices_.push_back({arena_.data() + s.off, s.len});
-      }
-    }
-    Connection* conn = loop_.find(cid);
-    if (conn != nullptr) loop_.send_vectored(*conn, slices_);
-  }
-
-  // Pass 4: unpin the receive buffers (their spans are consumed) so the
-  // deferred compaction/reset can reclaim them.
-  for (const std::uint64_t cid : held_conns_) {
-    Connection* conn = loop_.find_any(cid);
-    if (conn != nullptr) conn->release_read_buffer();
-  }
-  held_conns_.clear();
   pending_replies_.clear();
   pending_clicks_ = 0;
+
+  // One write per connection that got replies, so a flush that fires
+  // mid-round (flush_clicks reached, a DRAIN) puts its verdicts on the
+  // wire now rather than at the end of the round.
+  for (const std::uint64_t id : replied_) {
+    Connection* conn = loop_.find(id);
+    if (conn != nullptr) loop_.flush_writes(*conn);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -462,43 +364,16 @@ void IngestServer::stop() noexcept {
 void IngestServer::offer_to_sink(std::span<const std::uint32_t> ad_ids,
                                  std::span<const core::ClickId> ids,
                                  std::span<const std::uint64_t> times,
-                                 std::span<bool> out) {
-  if (serialize_offers_) {
-    const std::lock_guard<std::mutex> g(sink_mu_);
-    if (opts_.replication != nullptr) {
-      // Ring entries are capped at kMaxClicksPerBatch, so offer in the
-      // same chunks that get appended: followers replay one ring entry
-      // per sink call, and offer boundaries are semantic for batch-scoped
-      // sinks (EnforcingSink decides a whole batch before observing it).
-      const std::size_t n = ids.size();
-      for (std::size_t off = 0; off < n; off += wire::kMaxClicksPerBatch) {
-        const std::size_t m =
-            std::min<std::size_t>(n - off, wire::kMaxClicksPerBatch);
-        sink_.offer(ad_ids.subspan(off, m), ids.subspan(off, m),
-                    times.subspan(off, m), out.subspan(off, m));
-        opts_.replication->append(ad_ids.subspan(off, m),
-                                  ids.subspan(off, m),
-                                  times.subspan(off, m), {});
-      }
-    } else {
-      sink_.offer(ad_ids, ids, times, out);
-    }
-  } else {
-    sink_.offer(ad_ids, ids, times, out);
-  }
-}
-
-void IngestServer::offer_to_sink(std::span<const std::uint32_t> ad_ids,
-                                 std::span<const core::ClickId> ids,
-                                 std::span<const std::uint64_t> times,
                                  std::span<const std::uint32_t> sources,
                                  std::span<bool> out) {
   if (serialize_offers_) {
     const std::lock_guard<std::mutex> g(sink_mu_);
     // Appending under the same mutex hold makes ring order identical to
-    // sink order — the invariant the followers' bit-identity rests on —
-    // and chunking at the ring-entry cap makes replayed offer BOUNDARIES
-    // identical too (see the v1 overload above).
+    // sink order — the invariant the followers' bit-identity rests on.
+    // Ring entries are capped at kMaxClicksPerBatch, so offer in the same
+    // chunks that get appended: followers replay one ring entry per sink
+    // call, and offer boundaries are semantic for batch-scoped sinks
+    // (EnforcingSink decides a whole batch before observing it).
     if (opts_.replication != nullptr) {
       const std::size_t n = ids.size();
       for (std::size_t off = 0; off < n; off += wire::kMaxClicksPerBatch) {

@@ -3,15 +3,12 @@
 // The server runs Options::loops event loops, each with its own
 // SO_REUSEPORT listener on the shared port (the kernel balances accepted
 // connections across them) and each with its own private decode state, so
-// a loop thread never takes a lock on the frame path. CLICK_BATCH frames
-// are recorded ZERO-COPY: the handler validates the frame, then remembers
-// {connection, byte offset, count} — the click records stay in the
-// connection's receive buffer (pinned against compaction, re-resolved by
-// offset so buffer growth cannot dangle a pointer) until the flush
-// deinterleaves them straight into the flat columns offer_batch consumes.
-// Verdict frames are encoded into a per-loop arena and handed to the
-// socket with writev (EventLoop::send_vectored), skipping the per-frame
-// reply-buffer copy.
+// a loop thread never takes a lock on the frame path. Each CLICK_BATCH /
+// CLICK_BATCH_V2 frame is decoded as it arrives, in one pass over its
+// records, into the loop's pending columns (the flat layout offer_batch
+// consumes); the receive buffer is then free to compact. At a flush each
+// verdict frame is queued on its connection's write buffer, and every
+// connection that got replies is written once.
 //
 // The batch is flushed through a ClickSink once it reaches
 // Options::flush_clicks, and at the end of every dispatch round so latency
@@ -24,7 +21,7 @@
 //
 // Ordering guarantees: clicks of one connection reach the sink in exactly
 // the order sent (a connection lives on one loop for its whole life,
-// frames are parsed FIFO, the pending records preserve append order, and a
+// frames are parsed FIFO, the pending columns preserve append order, and a
 // frame is never split across flushes). Clicks of DIFFERENT connections
 // interleave arbitrarily; clients that need replay-exact verdicts keep
 // each identifier population on one connection (the load generator gives
@@ -349,10 +346,6 @@ class IngestServer final {
  private:
   class LoopWorker;
 
-  void offer_to_sink(std::span<const std::uint32_t> ad_ids,
-                     std::span<const core::ClickId> ids,
-                     std::span<const std::uint64_t> times,
-                     std::span<bool> out);
   void offer_to_sink(std::span<const std::uint32_t> ad_ids,
                      std::span<const core::ClickId> ids,
                      std::span<const std::uint64_t> times,

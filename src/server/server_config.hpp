@@ -20,6 +20,7 @@
 #include "core/duplicate_detector.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/window.hpp"
+#include "enforce/reputation_ledger.hpp"
 
 namespace ppc::server {
 
@@ -85,6 +86,48 @@ inline core::WindowSpec parse_window_spec(const std::string& text) {
         num(1), static_cast<std::uint32_t>(num(2)), num(3));
   }
   throw std::invalid_argument("unrecognized window spec: " + text);
+}
+
+/// Parses the "k=v,k=v" enforcement grammar into an EnforcementPolicy;
+/// "on"/"1" keeps every default. ppcd's --enforce and ppc_loadgen's
+/// --verify-enforce both speak it, so one spec string drives the daemon and
+/// the oracle; `flag` ("--enforce") prefixes the errors. Throws
+/// std::invalid_argument on malformed items and unknown keys (the ledger
+/// constructor rejects inconsistent threshold combinations).
+inline enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec,
+                                                     const std::string& flag) {
+  enforce::EnforcementPolicy p;
+  if (spec == "on" || spec == "1") return p;
+  std::size_t pos = 0;
+  while (pos < spec.size()) {
+    const std::size_t comma = spec.find(',', pos);
+    const std::string item =
+        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    pos = comma == std::string::npos ? spec.size() : comma + 1;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument(flag + ": expected k=v, got '" + item + "'");
+    }
+    const std::string key = item.substr(0, eq);
+    const std::string value = item.substr(eq + 1);
+    if (key == "flag-rate") p.flag_rate = std::stod(value);
+    else if (key == "discount-rate") p.discount_rate = std::stod(value);
+    else if (key == "block-rate") p.block_rate = std::stod(value);
+    else if (key == "flag-min") p.flag_min_duplicates = std::stoull(value);
+    else if (key == "discount-min") p.discount_min_duplicates = std::stoull(value);
+    else if (key == "block-min") p.block_min_duplicates = std::stoull(value);
+    else if (key == "blatant-rate") p.blatant_rate = std::stod(value);
+    else if (key == "blatant-min") p.blatant_min_duplicates = std::stoull(value);
+    else if (key == "demote-ratio") p.demote_ratio = std::stod(value);
+    else if (key == "half-life-us") p.score_half_life_us = std::stoull(value);
+    else if (key == "ttl-us") p.block_ttl_us = std::stoull(value);
+    else if (key == "rate-alpha") p.rate_alpha = std::stod(value);
+    else if (key == "min-clicks") p.min_clicks = std::stoull(value);
+    else if (key == "max-sources") p.max_sources = std::stoull(value);
+    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
+    else throw std::invalid_argument(flag + ": unknown key '" + key + "'");
+  }
+  return p;
 }
 
 /// The adaptive-pool knobs ppcd's --sink=tiered flags map onto; one struct

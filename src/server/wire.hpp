@@ -75,6 +75,8 @@
 #include <string>
 #include <vector>
 
+#include "hashing/crc32.hpp"
+
 namespace ppc::server::wire {
 
 inline constexpr std::uint32_t kProtocolVersion = 1;
@@ -238,67 +240,10 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8: eight
-// compile-time tables let the hot loop fold 8 input bytes per iteration
-// (~4x fewer dependent table lookups than the classic byte-at-a-time form,
-// which survives as crc32_bytewise — the reference the fuzz test checks
-// the sliced kernel against). CLICK_BATCH bodies are CRC'd on both ends of
-// every frame, so this is squarely on the wire hot path.
-
-namespace detail {
-struct Crc32Table {
-  std::uint32_t entry[8][256] = {};
-  constexpr Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entry[0][i] = c;
-    }
-    for (std::uint32_t k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        entry[k][i] =
-            entry[0][entry[k - 1][i] & 0xFFu] ^ (entry[k - 1][i] >> 8);
-      }
-    }
-  }
-};
-inline constexpr Crc32Table kCrc32Table{};
-}  // namespace detail
-
-/// Byte-at-a-time reference implementation (identical results to crc32).
-inline std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) {
-    c = detail::kCrc32Table.entry[0][(c ^ b) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-inline std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  const auto& t = detail::kCrc32Table.entry;
-  std::uint32_t c = 0xFFFFFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  while (n >= 8) {
-    // get_u32 builds the little-endian value explicitly, so byte k of the
-    // stream lands in bits [8k, 8k+8) on every host — the order the
-    // reflected CRC update below assumes.
-    const std::uint32_t lo = get_u32(p) ^ c;
-    const std::uint32_t hi = get_u32(p + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    c = t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
+// The frame checksum is hashing/crc32.hpp, shared with the snapshot
+// sections; CLICK_BATCH bodies are CRC'd on both ends of every frame.
+using hashing::crc32;
+using hashing::crc32_bytewise;
 
 // ---------------------------------------------------------------------------
 // Encoding. All encoders append one complete frame to `out`, building the

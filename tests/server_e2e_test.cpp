@@ -5,9 +5,11 @@
 // comes back over the wire is BIT-IDENTICAL to a sequential in-process
 // replay of the same clicks through an identically configured detector.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -483,6 +485,60 @@ TEST(ServerE2E, DrainAckReportsExactTotals) {
   const auto expected_dups = static_cast<std::uint64_t>(
       std::count(expected.begin(), expected.end(), true));
   EXPECT_EQ(dups, expected_dups);
+}
+
+// A client that sends its clicks and half-closes without reading a single
+// verdict: the clicks were accepted, so they must reach the window even
+// though the server closes the connection before any verdict is owed. The
+// read chunk is the size of the client's one write, so when the write and
+// the FIN are both queued by the time the server reads, it sees the clicks
+// and the EOF in the same round. A second connection watches the clicks
+// land through STATS, and replaying the same ids then reads all duplicates.
+TEST(ServerE2E, ClicksOfAHalfClosedConnectionReachTheSink) {
+  const DetectorConfig cfg = gbf_config();
+  // Distinct ids, so every replay verdict is owed to the first pass. The
+  // replay distance (kClicks arrivals) stays inside the jumping window's
+  // shortest span of 4096 * 7/8 = 3584 arrivals.
+  constexpr std::size_t kClicks = 2048;
+  constexpr std::size_t kBatch = 512;
+  std::vector<wire::ClickRecord> clicks(kClicks);
+  for (std::size_t i = 0; i < kClicks; ++i) {
+    clicks[i] = {1, 1'000'000 + i, i};
+  }
+  std::vector<std::uint8_t> bytes;
+  wire::append_hello(bytes, wire::kProtocolVersion);
+  for (std::size_t off = 0; off < kClicks; off += kBatch) {
+    wire::append_click_batch(
+        bytes, off / kBatch,
+        std::span<const wire::ClickRecord>(clicks).subspan(off, kBatch));
+  }
+  IngestServer::Options opts;
+  opts.loop.read_chunk = bytes.size();
+  LoopbackServer server(cfg, opts);
+
+  BlockingClient sender;
+  sender.connect("127.0.0.1", server.port());
+  sender.send_raw(bytes);  // one write
+  ASSERT_EQ(::shutdown(sender.fd(), SHUT_WR), 0);
+
+  BlockingClient watcher;
+  watcher.connect("127.0.0.1", server.port());
+  watcher.handshake();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t seen = 0;
+  while ((seen = watcher.request_stats().clicks) < kClicks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(seen, kClicks) << "clicks of the half-closed connection were lost";
+
+  std::vector<bool> replay;
+  send_and_collect(watcher, clicks, kBatch, replay);
+  ASSERT_EQ(replay.size(), kClicks);
+  for (std::size_t i = 0; i < kClicks; ++i) {
+    ASSERT_TRUE(replay[i]) << "replayed click " << i << " read fresh";
+  }
 }
 
 // Graceful shutdown mid-stream: stop() + drain() must deliver a verdict

@@ -1,11 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the threading race gate.
+# Tier-1 verification plus the memory and threading sanitizer gates.
 #
 #   1. regular build + full ctest suite (the ROADMAP tier-1 command);
 #   2. CLI validation: ppcd must reject --loops=0, --loops beyond the
 #      hardware threads (without --oversubscribe-loops), and any flag its
 #      usage does not list, each with a clear error;
-#   3. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
+#   3. an AddressSanitizer build (PPC_SANITIZE=address, in build-asan/) of
+#      the tests that move click bytes: server_e2e_test and enforce_test
+#      (receive buffer -> pending columns -> verdict frames),
+#      wire_fuzz_test (frame decoders on mutated input), durability_test
+#      (snapshot sections) and replication_test (the replication ring and
+#      snapshot catch-up), so an out-of-bounds read or a use after free on
+#      the ingest path fails the check instead of passing by luck;
+#   4. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
 #      tests — sharded_test, runtime_test, parallel_batch_test (concurrent
 #      offer_batch callers on the ThreadPool fan-out path),
 #      batch_times_test, apbf_test and conformance_test (sharded backends
@@ -22,7 +29,7 @@
 #      chaos-proxy faults) — so every change touching the parallel
 #      ingestion paths gets a race check.
 #
-# Usage: tools/check.sh [--tsan-only]
+# Usage: tools/check.sh [--tsan-only]    (--tsan-only runs gate 4 alone)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +37,8 @@ JOBS=$(nproc 2>/dev/null || echo 2)
 TSAN_ONLY=0
 [[ "${1:-}" == "--tsan-only" ]] && TSAN_ONLY=1
 
+ASAN_TESTS=(server_e2e_test wire_fuzz_test durability_test enforce_test
+            replication_test)
 TSAN_TESTS=(sharded_test runtime_test parallel_batch_test batch_times_test
             wire_fuzz_test server_e2e_test durability_test apbf_test
             conformance_test adnet_extra_test tiered_pool_test enforce_test
@@ -65,6 +74,15 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
     || { echo "FAIL: ppcd --engine=on exited $STATUS, want 2"; exit 1; }
   echo "$OUT" | grep -q "ppcd: unknown flag --engine" \
     || { echo "FAIL: unknown-flag error message missing"; exit 1; }
+
+  echo "== memory gate: ASan build of the ingest and snapshot tests =="
+  cmake -B build-asan -S . -DPPC_SANITIZE=address \
+    -DPPC_BUILD_BENCH=OFF -DPPC_BUILD_EXAMPLES=OFF
+  cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
+  for t in "${ASAN_TESTS[@]}"; do
+    echo "-- $t (asan)"
+    ./build-asan/tests/"$t"
+  done
 fi
 
 echo "== race gate: TSan build of the concurrency tests =="

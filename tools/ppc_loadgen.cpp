@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -57,7 +56,10 @@
 #include "stream/click.hpp"
 #include "stream/generators.hpp"
 
+#include "cli_flags.hpp"
+
 using namespace ppc;
+using namespace ppc::cli;
 namespace wire = ppc::server::wire;
 
 namespace {
@@ -98,77 +100,6 @@ constexpr std::string_view kKnownFlags[] = {
     "connect", "connections", "clicks", "batch", "inflight", "seed",
     "verify", "sndbuf", "loops", "v2", "verify-enforce", "window",
     "memory-mib", "hashes", "backend", "shards"};
-
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) != 0) {
-      usage(argv[0]);
-    }
-    const auto eq = arg.find('=');
-    const std::string key =
-        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) ==
-        std::end(kKnownFlags)) {
-      std::fprintf(stderr, "ppc_loadgen: unknown flag --%s\n", key.c_str());
-      std::exit(2);
-    }
-    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-  }
-  return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-/// "k=v,k=v" → EnforcementPolicy — the SAME grammar ppcd's --enforce flag
-/// speaks, so one spec string drives both the daemon and this oracle.
-/// "on"/"1" keeps every default.
-enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec) {
-  enforce::EnforcementPolicy p;
-  if (spec == "on" || spec == "1") return p;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("--verify-enforce: expected k=v, got '" +
-                                  item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "flag-rate") p.flag_rate = std::stod(value);
-    else if (key == "discount-rate") p.discount_rate = std::stod(value);
-    else if (key == "block-rate") p.block_rate = std::stod(value);
-    else if (key == "flag-min") p.flag_min_duplicates = std::stoull(value);
-    else if (key == "discount-min") p.discount_min_duplicates = std::stoull(value);
-    else if (key == "block-min") p.block_min_duplicates = std::stoull(value);
-    else if (key == "blatant-rate") p.blatant_rate = std::stod(value);
-    else if (key == "blatant-min") p.blatant_min_duplicates = std::stoull(value);
-    else if (key == "demote-ratio") p.demote_ratio = std::stod(value);
-    else if (key == "half-life-us") p.score_half_life_us = std::stoull(value);
-    else if (key == "ttl-us") p.block_ttl_us = std::stoull(value);
-    else if (key == "rate-alpha") p.rate_alpha = std::stod(value);
-    else if (key == "min-clicks") p.min_clicks = std::stoull(value);
-    else if (key == "max-sources") p.max_sources = std::stoull(value);
-    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
-    else throw std::invalid_argument("--verify-enforce: unknown key '" + key + "'");
-  }
-  return p;
-}
 
 /// The deterministic click stream for one connection: Zipf users clicking
 /// the connection's own ad. Both the wire path and the oracle replay call
@@ -327,7 +258,8 @@ double percentile(std::vector<double>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv);
+  const auto flags =
+      parse_flags(argc, argv, "ppc_loadgen", kKnownFlags, usage);
   try {
     const std::string connect = flag(flags, "connect", "127.0.0.1:4817");
     const auto colon = connect.rfind(':');
@@ -520,7 +452,8 @@ int main(int argc, char** argv) {
           // the identical click order the daemon's shared ledger saw).
           const auto detector = server::build_detector(cfg);
           server::DetectorSink base(*detector);
-          enforce::ReputationLedger ledger(parse_enforce_spec(enforce_spec));
+          enforce::ReputationLedger ledger(
+              server::parse_enforce_spec(enforce_spec, "--verify-enforce"));
           server::EnforcingSink oracle_sink(base, ledger);
           const auto& stream = streams_v2[c];
           std::vector<std::uint32_t> ads(batch), sources(batch);

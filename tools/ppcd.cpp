@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -77,7 +76,10 @@
 #include "server/replication.hpp"
 #include "server/server_config.hpp"
 
+#include "cli_flags.hpp"
+
 using namespace ppc;
+using namespace ppc::cli;
 
 namespace {
 
@@ -162,83 +164,6 @@ constexpr std::string_view kKnownFlags[] = {
     "enforce", "blocklist-export", "journal", "replicate-listen",
     "repl-ring-batches", "repl-ring-mib", "follow"};
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) != 0) {
-      usage(argv[0]);
-    }
-    const auto eq = arg.find('=');
-    const std::string key =
-        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) ==
-        std::end(kKnownFlags)) {
-      std::fprintf(stderr, "ppcd: unknown flag --%s\n", key.c_str());
-      std::exit(2);
-    }
-    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-  }
-  return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-double flag_double(const std::map<std::string, std::string>& flags,
-                   const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
-}
-
-/// "k=v,k=v" → EnforcementPolicy; "on"/"1" keeps every default. Throws
-/// std::invalid_argument on unknown keys (and the ledger constructor
-/// rejects inconsistent threshold combinations).
-enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec) {
-  enforce::EnforcementPolicy p;
-  if (spec == "on" || spec == "1") return p;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("--enforce: expected k=v, got '" + item +
-                                  "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "flag-rate") p.flag_rate = std::stod(value);
-    else if (key == "discount-rate") p.discount_rate = std::stod(value);
-    else if (key == "block-rate") p.block_rate = std::stod(value);
-    else if (key == "flag-min") p.flag_min_duplicates = std::stoull(value);
-    else if (key == "discount-min") p.discount_min_duplicates = std::stoull(value);
-    else if (key == "block-min") p.block_min_duplicates = std::stoull(value);
-    else if (key == "blatant-rate") p.blatant_rate = std::stod(value);
-    else if (key == "blatant-min") p.blatant_min_duplicates = std::stoull(value);
-    else if (key == "demote-ratio") p.demote_ratio = std::stod(value);
-    else if (key == "half-life-us") p.score_half_life_us = std::stoull(value);
-    else if (key == "ttl-us") p.block_ttl_us = std::stoull(value);
-    else if (key == "rate-alpha") p.rate_alpha = std::stod(value);
-    else if (key == "min-clicks") p.min_clicks = std::stoull(value);
-    else if (key == "max-sources") p.max_sources = std::stoull(value);
-    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
-    else throw std::invalid_argument("--enforce: unknown key '" + key + "'");
-  }
-  return p;
-}
-
 server::IngestServer* g_server = nullptr;
 
 void handle_signal(int /*signum*/) {
@@ -255,7 +180,7 @@ void handle_standby_stop(int /*signum*/) { g_standby_stop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv);
+  const auto flags = parse_flags(argc, argv, "ppcd", kKnownFlags, usage);
   try {
     const auto parse_hostport =
         [argv](const std::string& spec) -> std::pair<std::string,
@@ -353,7 +278,7 @@ int main(int argc, char** argv) {
     const std::string blocklist_path = flag(flags, "blocklist-export", "");
     if (!enforce_spec.empty()) {
       ledger = std::make_unique<enforce::ReputationLedger>(
-          parse_enforce_spec(enforce_spec));
+          server::parse_enforce_spec(enforce_spec, "--enforce"));
       const std::string journal_path = flag(flags, "journal", "");
       if (!journal_path.empty()) {
         journal = std::make_unique<enforce::DecisionJournal>(journal_path);

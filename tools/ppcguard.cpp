@@ -25,7 +25,10 @@
 #include "stream/generators.hpp"
 #include "stream/trace.hpp"
 
+#include "cli_flags.hpp"
+
 using namespace ppc;
+using namespace ppc::cli;
 
 namespace {
 
@@ -60,24 +63,6 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     }
   }
   return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-double flag_f64(const std::map<std::string, std::string>& flags,
-                const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
 }
 
 /// Parses "sliding:N", "jumping:N:Q", "landmark:N" (count-based) and the
@@ -146,7 +131,7 @@ int cmd_gen(const std::map<std::string, std::string>& flags) {
     stream::BotnetAttackOptions atk;
     atk.seed = seed ^ 0xa77ac;
     atk.bot_count = static_cast<std::uint32_t>(flag_u64(flags, "bots", 1000));
-    atk.attack_fraction = flag_f64(flags, "attack-fraction", 0.3);
+    atk.attack_fraction = flag_double(flags, "attack-fraction", 0.3);
     gen = std::make_unique<stream::BotnetAttackStream>(
         std::make_unique<stream::MixedTrafficStream>(bg), atk);
   } else if (kind == "revisit") {
@@ -212,7 +197,7 @@ int cmd_audit(const std::map<std::string, std::string>& flags) {
   if (path.empty()) throw std::invalid_argument("audit: --trace is required");
   const auto window = parse_window(flag(flags, "window", "sliding:100000"));
   const auto policy = parse_policy(flag(flags, "policy", "ip"));
-  const auto bid = adnet::from_dollars(flag_f64(flags, "bid", 0.25));
+  const auto bid = adnet::from_dollars(flag_double(flags, "bid", 0.25));
 
   core::DetectorBudget budget;
   budget.total_memory_bits = flag_u64(flags, "memory-mib", 16) << 23;
@@ -284,7 +269,7 @@ int cmd_audit(const std::map<std::string, std::string>& flags) {
 int cmd_plan(const std::map<std::string, std::string>& flags) {
   const std::uint64_t n = flag_u64(flags, "window-n", 1u << 20);
   const auto q = static_cast<std::uint32_t>(flag_u64(flags, "q", 8));
-  const double fpr = flag_f64(flags, "fpr", 0.01);
+  const double fpr = flag_double(flags, "fpr", 0.01);
 
   const auto gbf = analysis::plan_gbf(n, q, fpr);
   const auto tbf = analysis::plan_tbf(n, fpr);
