@@ -26,7 +26,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -281,20 +280,19 @@ class DetectorPool {
   /// lock for the duration; the per-ad detectors must not be receiving
   /// concurrent offers (same contract as evict()).
   void save(std::ostream& out) const {
-    std::ostringstream payload(std::ios::binary);
-    {
-      const std::shared_lock<std::shared_mutex> read(mutex_);
-      std::vector<std::uint32_t> ads;
-      ads.reserve(detectors_.size());
-      for (const auto& [ad, det] : detectors_) ads.push_back(ad);
-      std::sort(ads.begin(), ads.end());
-      core::detail::write_u64(payload, ads.size());
-      for (const std::uint32_t ad : ads) {
-        core::detail::write_u64(payload, ad);
-        detectors_.at(ad)->save(payload);
-      }
-    }
-    core::detail::write_section(out, core::detail::kPoolMagic, payload.str());
+    core::detail::write_section(
+        out, core::detail::kPoolMagic, [&](std::ostream& payload) {
+          const std::shared_lock<std::shared_mutex> read(mutex_);
+          std::vector<std::uint32_t> ads;
+          ads.reserve(detectors_.size());
+          for (const auto& [ad, det] : detectors_) ads.push_back(ad);
+          std::sort(ads.begin(), ads.end());
+          core::detail::write_u64(payload, ads.size());
+          for (const std::uint32_t ad : ads) {
+            core::detail::write_u64(payload, ad);
+            detectors_.at(ad)->save(payload);
+          }
+        });
     if (!out) throw std::runtime_error("DetectorPool::save: write failed");
   }
 
@@ -305,42 +303,40 @@ class DetectorPool {
   /// Corrupt sections throw before any detector is built; a nested failure
   /// after that leaves the pool partially populated — evict or discard it.
   void restore(std::istream& in) {
-    const std::string payload =
-        core::detail::read_section(in, core::detail::kPoolMagic,
-                                   "DetectorPool");
-    std::istringstream ps(payload, std::ios::binary);
-    const std::uint64_t ad_count = core::detail::read_u64(ps);
-    if (ad_count > kMaxSnapshotAds) {
-      throw std::runtime_error("DetectorPool::restore: implausible ad count " +
-                               std::to_string(ad_count));
-    }
-    std::uint64_t prev_ad = 0;
-    for (std::uint64_t i = 0; i < ad_count; ++i) {
-      const std::uint64_t ad = core::detail::read_u64(ps);
-      if (ad > 0xffffffffull) {
-        throw std::runtime_error("DetectorPool::restore: corrupt ad id " +
-                                 std::to_string(ad));
-      }
-      // save() writes ads strictly ascending; anything else is corruption
-      // (and would let a forged snapshot restore one ad twice).
-      if (i > 0 && ad <= prev_ad) {
-        throw std::runtime_error(
-            "DetectorPool::restore: ad ids out of order (corrupt snapshot)");
-      }
-      prev_ad = ad;
-      try {
-        detector_for(static_cast<std::uint32_t>(ad)).restore(ps);
-      } catch (const std::length_error&) {
-        throw;  // memory cap: operator error, not snapshot corruption
-      } catch (const std::exception& e) {
-        throw std::runtime_error("DetectorPool::restore: ad " +
-                                 std::to_string(ad) + ": " + e.what());
-      }
-    }
-    if (ps.peek() != std::istringstream::traits_type::eof()) {
-      throw std::runtime_error(
-          "DetectorPool::restore: trailing bytes after last ad");
-    }
+    core::detail::read_section(
+        in, core::detail::kPoolMagic, "DetectorPool", [&](std::istream& ps) {
+          const std::uint64_t ad_count = core::detail::read_u64(ps);
+          if (ad_count > kMaxSnapshotAds) {
+            throw std::runtime_error(
+                "DetectorPool::restore: implausible ad count " +
+                std::to_string(ad_count));
+          }
+          std::uint64_t prev_ad = 0;
+          for (std::uint64_t i = 0; i < ad_count; ++i) {
+            const std::uint64_t ad = core::detail::read_u64(ps);
+            if (ad > 0xffffffffull) {
+              throw std::runtime_error("DetectorPool::restore: corrupt ad id " +
+                                       std::to_string(ad));
+            }
+            // save() writes ads strictly ascending; anything else is
+            // corruption (and would let a forged snapshot restore one ad
+            // twice).
+            if (i > 0 && ad <= prev_ad) {
+              throw std::runtime_error(
+                  "DetectorPool::restore: ad ids out of order (corrupt "
+                  "snapshot)");
+            }
+            prev_ad = ad;
+            try {
+              detector_for(static_cast<std::uint32_t>(ad)).restore(ps);
+            } catch (const std::length_error&) {
+              throw;  // memory cap: operator error, not snapshot corruption
+            } catch (const std::exception& e) {
+              throw std::runtime_error("DetectorPool::restore: ad " +
+                                       std::to_string(ad) + ": " + e.what());
+            }
+          }
+        });
   }
 
  private:

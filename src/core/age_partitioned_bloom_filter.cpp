@@ -4,7 +4,6 @@
 #include <bit>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/batch_hash_ring.hpp"
@@ -311,116 +310,72 @@ void AgePartitionedBloomFilter::offer_batch_time(std::span<const ClickId> ids,
   if (ops_ != nullptr) ops_->hash_evals += ring.hashed();
 }
 
-void AgePartitionedBloomFilter::write_state(std::ostream& out) const {
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
-  detail::write_u64(out, bits_per_slice_);
-  detail::write_u64(out, k_);
-  detail::write_u64(out, l_);
-  detail::write_index_strategy(out);
-  detail::write_u64(out, family_.seed());
-  detail::write_u64(out, youngest_);
-  detail::write_u64(out, youngest_hash_);
-  detail::write_u64(out, fill_in_gen_);
-  detail::write_u64(out, clean_word_);
-  detail::write_u64(out, current_unit_);
-  detail::write_u64(out, units_into_gen_);
-  detail::write_u64(out, time_started_ ? 1 : 0);
-  detail::write_words(out, words_);
-}
-
 void AgePartitionedBloomFilter::save(std::ostream& out) const {
   // Unlike the seed-era GBF/TBF raw layouts, the whole state rides in one
   // versioned CRC-checked section, so corruption anywhere in the payload is
   // caught before a single field is applied.
-  std::ostringstream payload(std::ios::binary);
-  write_state(payload);
-  detail::write_section(out, detail::kApbfMagic, payload.str());
+  detail::write_section(out, detail::kApbfMagic, [&](std::ostream& body) {
+    detail::write_window(body, window_);
+    detail::write_u64(body, bits_per_slice_);
+    detail::write_u64(body, k_);
+    detail::write_u64(body, l_);
+    detail::write_index_strategy(body);
+    detail::write_u64(body, family_.seed());
+    detail::write_u64(body, youngest_);
+    detail::write_u64(body, youngest_hash_);
+    detail::write_u64(body, fill_in_gen_);
+    detail::write_u64(body, clean_word_);
+    detail::write_u64(body, current_unit_);
+    detail::write_u64(body, units_into_gen_);
+    detail::write_u64(body, time_started_ ? 1 : 0);
+    detail::write_words(body, words_);
+  });
   if (!out) {
     throw std::runtime_error("AgePartitionedBloomFilter::save: write failed");
   }
 }
 
-void AgePartitionedBloomFilter::read_header(std::istream& in,
-                                            WindowSpec& window, Options& opts) {
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
-  opts.bits_per_slice = detail::read_u64(in);
-  opts.consecutive = static_cast<std::size_t>(detail::read_u64(in));
-  opts.generations = static_cast<std::size_t>(detail::read_u64(in));
-  detail::expect_index_strategy(in, "AgePartitionedBloomFilter");
-  opts.seed = detail::read_u64(in);
-}
-
-void AgePartitionedBloomFilter::read_state(std::istream& in) {
-  const std::uint64_t youngest = detail::read_u64(in);
-  const std::uint64_t youngest_hash = detail::read_u64(in);
-  const std::uint64_t fill = detail::read_u64(in);
-  const std::uint64_t clean = detail::read_u64(in);
-  if (youngest >= slice_count() || youngest_hash >= hash_functions() ||
-      fill >= gen_span_ || clean > words_per_slice_) {
-    throw std::runtime_error("AgePartitionedBloomFilter: corrupt ring cursors");
-  }
-  youngest_ = static_cast<std::size_t>(youngest);
-  youngest_hash_ = static_cast<std::size_t>(youngest_hash);
-  fill_in_gen_ = fill;
-  clean_word_ = clean;
-  current_unit_ = detail::read_u64(in);
-  units_into_gen_ = detail::read_u64(in);
-  if (units_into_gen_ >= gen_span_) {
-    throw std::runtime_error("AgePartitionedBloomFilter: corrupt time cursor");
-  }
-  time_started_ = detail::read_u64(in) != 0;
-  const auto words = detail::read_words(in);
-  if (words.size() != words_.size()) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter: payload size does not match geometry");
-  }
-  words_ = words;
-}
-
 void AgePartitionedBloomFilter::restore(std::istream& in) {
-  const std::string payload =
-      detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter");
-  std::istringstream body(payload, std::ios::binary);
-  WindowSpec window;
-  Options opts;
-  read_header(body, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter::restore: snapshot window [" +
-        window.describe() + "] does not match this instance [" +
-        window_.describe() + "]");
-  }
-  if (opts.bits_per_slice != bits_per_slice_ || opts.consecutive != k_ ||
-      opts.generations != l_ || opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter::restore: snapshot filter options "
-        "(m/k/l/seed) do not match this instance");
-  }
-  read_state(body);
-}
-
-std::unique_ptr<AgePartitionedBloomFilter> AgePartitionedBloomFilter::load(
-    std::istream& in) {
-  const std::string payload =
-      detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter");
-  std::istringstream body(payload, std::ios::binary);
-  WindowSpec window;
-  Options opts;
-  read_header(body, window, opts);
-  auto apbf = std::make_unique<AgePartitionedBloomFilter>(window, opts);
-  apbf->read_state(body);
-  return apbf;
+  constexpr const char* kWhat = "AgePartitionedBloomFilter";
+  detail::read_section(in, detail::kApbfMagic, kWhat, [&](std::istream& body) {
+    detail::expect_window(body, window_, kWhat);
+    const std::uint64_t m = detail::read_u64(body);
+    const std::uint64_t k = detail::read_u64(body);
+    const std::uint64_t l = detail::read_u64(body);
+    detail::expect_index_strategy(body, kWhat);
+    if (m != bits_per_slice_ || k != k_ || l != l_ ||
+        detail::read_u64(body) != family_.seed()) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter::restore: snapshot filter options "
+          "(m/k/l/seed) do not match this instance");
+    }
+    const std::uint64_t youngest = detail::read_u64(body);
+    const std::uint64_t youngest_hash = detail::read_u64(body);
+    const std::uint64_t fill = detail::read_u64(body);
+    const std::uint64_t clean = detail::read_u64(body);
+    if (youngest >= slice_count() || youngest_hash >= hash_functions() ||
+        fill >= gen_span_ || clean > words_per_slice_) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: corrupt ring cursors");
+    }
+    youngest_ = static_cast<std::size_t>(youngest);
+    youngest_hash_ = static_cast<std::size_t>(youngest_hash);
+    fill_in_gen_ = fill;
+    clean_word_ = clean;
+    current_unit_ = detail::read_u64(body);
+    units_into_gen_ = detail::read_u64(body);
+    if (units_into_gen_ >= gen_span_) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: corrupt time cursor");
+    }
+    time_started_ = detail::read_u64(body) != 0;
+    auto words = detail::read_words(body);
+    if (words.size() != words_.size()) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: payload size does not match geometry");
+    }
+    words_ = std::move(words);
+  });
 }
 
 }  // namespace ppc::core

@@ -126,10 +126,6 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   /// @throws std::runtime_error on corrupt or mismatched input.
   void restore(std::istream& in) override;
 
-  /// Restores a detector saved by save(). @throws std::runtime_error on a
-  /// corrupt or incompatible snapshot.
-  static std::unique_ptr<AgePartitionedBloomFilter> load(std::istream& in);
-
  private:
   using Word = std::uint64_t;
   static constexpr std::size_t kWordBits = 64;
@@ -163,10 +159,6 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   void offer_batch_count(std::span<const ClickId> ids, std::span<bool> out);
   void offer_batch_time(std::span<const ClickId> ids,
                         const std::uint64_t* times, std::span<bool> out);
-
-  void write_state(std::ostream& out) const;
-  void read_state(std::istream& in);
-  static void read_header(std::istream& in, WindowSpec& window, Options& opts);
 
   WindowSpec window_;
   std::uint64_t bits_per_slice_;   // m

@@ -287,11 +287,7 @@ constexpr std::uint64_t kGbfMagic = 0x50504347'42463031ULL;  // "PPCGBF01"
 
 void GroupBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, kGbfMagic);
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
+  detail::write_window(out, window_);
   detail::write_u64(out, bits_per_subfilter_);
   detail::write_u64(out, family_.k());
   detail::write_index_strategy(out);
@@ -307,21 +303,18 @@ void GroupBloomFilter::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("GroupBloomFilter::save: write failed");
 }
 
-void GroupBloomFilter::read_header(std::istream& in, WindowSpec& window,
-                                   Options& opts) {
+void GroupBloomFilter::restore(std::istream& in) {
   detail::expect_magic(in, kGbfMagic, "GroupBloomFilter");
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
-  opts.bits_per_subfilter = detail::read_u64(in);
-  opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
+  detail::expect_window(in, window_, "GroupBloomFilter");
+  const std::uint64_t m = detail::read_u64(in);
+  const std::uint64_t k = detail::read_u64(in);
   detail::expect_index_strategy(in, "GroupBloomFilter");
-  opts.seed = detail::read_u64(in);
-}
-
-void GroupBloomFilter::read_state(std::istream& in) {
+  if (m != bits_per_subfilter_ || k != family_.k() ||
+      detail::read_u64(in) != family_.seed()) {
+    throw std::runtime_error(
+        "GroupBloomFilter::restore: snapshot filter options (m/k/seed) do "
+        "not match this instance");
+  }
   const std::uint64_t current = detail::read_u64(in);
   const std::uint64_t cleaning = detail::read_u64(in);
   if (current > subwindows_ || cleaning > subwindows_) {
@@ -334,38 +327,7 @@ void GroupBloomFilter::read_state(std::istream& in) {
   current_unit_ = detail::read_u64(in);
   units_into_subwindow_ = detail::read_u64(in);
   time_started_ = detail::read_u64(in) != 0;
-  const auto words = detail::read_words(in);
-  matrix_.set_raw_words(words);
-}
-
-void GroupBloomFilter::restore(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
-    throw std::runtime_error(
-        "GroupBloomFilter::restore: snapshot window [" + window.describe() +
-        "] does not match this instance [" + window_.describe() + "]");
-  }
-  if (opts.bits_per_subfilter != bits_per_subfilter_ ||
-      opts.hash_count != family_.k() || opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "GroupBloomFilter::restore: snapshot filter options (m/k/seed) do "
-        "not match this instance");
-  }
-  read_state(in);
-}
-
-std::unique_ptr<GroupBloomFilter> GroupBloomFilter::load(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  auto gbf = std::make_unique<GroupBloomFilter>(window, opts);
-  gbf->read_state(in);
-  return gbf;
+  matrix_.set_raw_words(detail::read_words(in));
 }
 
 }  // namespace ppc::core

@@ -1,17 +1,38 @@
-// Internal binary-IO helpers shared by the detector snapshot formats.
-// Little-endian, length-checked; corrupt input surfaces as
-// std::runtime_error rather than silently wrong filter state.
+// The snapshot codec: every detector and composite format frames its
+// state through these helpers, little-endian and length-checked, so corrupt
+// input surfaces as std::runtime_error rather than silently wrong state.
+//
+//   write_u64 / read_u64        one word
+//   write_words / read_words    a counted word block (the filter payloads)
+//   expect_magic                a format's leading tag
+//   write_window / expect_window
+//                               the five window words every detector and
+//                               the tiered pool carry; a snapshot whose
+//                               window differs from the instance's, or
+//                               whose kind or basis word is out of range,
+//                               is refused by one message
+//   write_index_strategy / expect_index_strategy
+//                               the filter headers' retired strategy word
+//   write_section / read_section
+//                               a versioned, CRC-checked section; the
+//                               callback forms hand the body a payload
+//                               stream and refuse payload bytes the body
+//                               did not consume
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/window.hpp"
 #include "hashing/crc32.hpp"
 
 namespace ppc::core::detail {
@@ -37,6 +58,21 @@ inline void write_words(std::ostream& out, std::span<const std::uint64_t> w) {
             static_cast<std::streamsize>(w.size() * 8));
 }
 
+/// Bytes left in `in` where the stream can seek (files, stringstreams),
+/// else UINT64_MAX. Counts read from a header are bounded by it BEFORE
+/// allocating: a corrupt header must fail cleanly, not reserve gigabytes
+/// and then hit EOF.
+inline std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type pos = in.tellg();
+  if (pos == std::istream::pos_type(-1)) return ~std::uint64_t{0};
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(pos);
+  return end == std::istream::pos_type(-1)
+             ? ~std::uint64_t{0}
+             : static_cast<std::uint64_t>(end - pos);
+}
+
 /// Hard cap on one word block: 2 GiB of filter payload. Real snapshots sit
 /// far below this (the DetectorPool budget caps live filters at 1 GiB);
 /// a count beyond it can only come from corruption, and rejecting it here
@@ -49,18 +85,8 @@ inline std::vector<std::uint64_t> read_words(std::istream& in) {
     throw std::runtime_error("snapshot: implausible word count " +
                              std::to_string(count));
   }
-  // Where the stream is seekable (files, stringstreams), bound the count
-  // by the bytes actually remaining BEFORE allocating: a corrupt header
-  // must fail cleanly, not reserve gigabytes and then hit EOF.
-  const std::istream::pos_type pos = in.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in.tellg();
-    in.seekg(pos);
-    if (end != std::istream::pos_type(-1) &&
-        count * 8 > static_cast<std::uint64_t>(end - pos)) {
-      throw std::runtime_error("snapshot: word count exceeds stream size");
-    }
+  if (count * 8 > bytes_left(in)) {
+    throw std::runtime_error("snapshot: word count exceeds stream size");
   }
   std::vector<std::uint64_t> w(count);
   in.read(reinterpret_cast<char*>(w.data()),
@@ -74,6 +100,36 @@ inline void expect_magic(std::istream& in, std::uint64_t magic,
   if (read_u64(in) != magic) {
     throw std::runtime_error(std::string("snapshot: bad magic for ") + what);
   }
+}
+
+inline void write_window(std::ostream& out, const WindowSpec& w) {
+  write_u64(out, static_cast<std::uint64_t>(w.kind));
+  write_u64(out, static_cast<std::uint64_t>(w.basis));
+  write_u64(out, w.length);
+  write_u64(out, w.subwindows);
+  write_u64(out, w.time_unit_us);
+}
+
+/// Reads the five window words and requires them to describe `expected`.
+/// `what` names the format in the error ("<what>::restore: ...").
+inline void expect_window(std::istream& in, const WindowSpec& expected,
+                          const char* what) {
+  std::uint64_t w[5];
+  for (std::uint64_t& word : w) word = read_u64(in);
+  const bool in_range =
+      w[0] <= static_cast<std::uint64_t>(WindowKind::kSliding) &&
+      w[1] <= static_cast<std::uint64_t>(WindowBasis::kTime) &&
+      w[3] <= 0xffffffffull;
+  const WindowSpec saved{static_cast<WindowKind>(w[0]),
+                         static_cast<WindowBasis>(w[1]), w[2],
+                         static_cast<std::uint32_t>(w[3]), w[4]};
+  if (in_range && saved == expected) return;
+  throw std::runtime_error(
+      std::string(what) + "::restore: snapshot window [" +
+      (in_range ? saved.describe()
+                : "corrupt: kind " + std::to_string(w[0]) + ", basis " +
+                      std::to_string(w[1]) + ", Q=" + std::to_string(w[3])) +
+      "] does not match this instance [" + expected.describe() + "]");
 }
 
 /// The filter headers keep a word that once named the index strategy.
@@ -91,13 +147,13 @@ inline void expect_index_strategy(std::istream& in, const char* what) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioned, CRC-checked composite sections.
+// Versioned, CRC-checked sections.
 //
-// Single-filter snapshots (GBF/TBF) keep their original raw field layout for
-// compatibility; everything built ON TOP of them — ShardedDetector,
-// DetectorPool, and the ppcd snapshot file envelope — wraps its payload in a
-// section header so corruption anywhere in a multi-filter file is caught
-// before any state is applied:
+// GBF and TBF keep their original raw field layout; APBF and everything
+// built on top of the filters — ShardedDetector, DetectorPool,
+// TieredDetectorPool, ReputationLedger and the ppcd snapshot file envelope
+// — wrap their payload in a section header, so corruption anywhere in a
+// multi-filter file is caught before any state is applied:
 //
 //   u64 magic       section type (see the registry below)
 //   u64 version     format version, currently kSnapshotFormatVersion
@@ -165,16 +221,9 @@ inline std::string read_section(std::istream& in, std::uint64_t magic,
     throw std::runtime_error(std::string("snapshot: ") + what +
                              ": corrupt checksum field");
   }
-  const std::istream::pos_type pos = in.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in.tellg();
-    in.seekg(pos);
-    if (end != std::istream::pos_type(-1) &&
-        bytes > static_cast<std::uint64_t>(end - pos)) {
-      throw std::runtime_error(std::string("snapshot: ") + what +
-                               ": section size exceeds stream size");
-    }
+  if (bytes > bytes_left(in)) {
+    throw std::runtime_error(std::string("snapshot: ") + what +
+                             ": section size exceeds stream size");
   }
   std::string payload(static_cast<std::size_t>(bytes), '\0');
   in.read(payload.data(), static_cast<std::streamsize>(bytes));
@@ -187,6 +236,29 @@ inline std::string read_section(std::istream& in, std::uint64_t magic,
                              ": checksum mismatch (corrupt snapshot)");
   }
   return payload;
+}
+
+/// Writes one section whose payload is what `body` writes to the stream it
+/// is handed.
+template <std::invocable<std::ostream&> Body>
+void write_section(std::ostream& out, std::uint64_t magic, Body&& body) {
+  std::ostringstream payload(std::ios::binary);
+  std::forward<Body>(body)(payload);
+  write_section(out, magic, std::move(payload).str());
+}
+
+/// Reads and validates one section, then hands its payload to `body` as a
+/// stream. Payload bytes `body` leaves unread are refused: a section holds
+/// exactly one state.
+template <std::invocable<std::istream&> Body>
+void read_section(std::istream& in, std::uint64_t magic, const char* what,
+                  Body&& body) {
+  std::istringstream payload(read_section(in, magic, what), std::ios::binary);
+  std::forward<Body>(body)(payload);
+  if (payload.peek() != std::istringstream::traits_type::eof()) {
+    throw std::runtime_error(std::string("snapshot: ") + what +
+                             ": trailing bytes after the section payload");
+  }
 }
 
 }  // namespace ppc::core::detail

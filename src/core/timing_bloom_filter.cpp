@@ -312,11 +312,7 @@ constexpr std::uint64_t kTbfMagic = 0x50504354'42463031ULL;  // "PPCTBF01"
 
 void TimingBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, kTbfMagic);
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
+  detail::write_window(out, window_);
   detail::write_u64(out, table_.size());
   detail::write_u64(out, family_.k());
   detail::write_u64(out, c_);
@@ -331,22 +327,19 @@ void TimingBloomFilter::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("TimingBloomFilter::save: write failed");
 }
 
-void TimingBloomFilter::read_header(std::istream& in, WindowSpec& window,
-                                    Options& opts) {
+void TimingBloomFilter::restore(std::istream& in) {
   detail::expect_magic(in, kTbfMagic, "TimingBloomFilter");
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
-  opts.entries = detail::read_u64(in);
-  opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
-  opts.c = detail::read_u64(in);
+  detail::expect_window(in, window_, "TimingBloomFilter");
+  const std::uint64_t m = detail::read_u64(in);
+  const std::uint64_t k = detail::read_u64(in);
+  const std::uint64_t c = detail::read_u64(in);
   detail::expect_index_strategy(in, "TimingBloomFilter");
-  opts.seed = detail::read_u64(in);
-}
-
-void TimingBloomFilter::read_state(std::istream& in) {
+  if (m != table_.size() || k != family_.k() || c != c_ ||
+      detail::read_u64(in) != family_.seed()) {
+    throw std::runtime_error(
+        "TimingBloomFilter::restore: snapshot filter options (m/k/C/seed) do "
+        "not match this instance");
+  }
   const std::uint64_t pos = detail::read_u64(in);
   const std::uint64_t arrivals = detail::read_u64(in);
   const std::uint64_t scan = detail::read_u64(in);
@@ -358,38 +351,7 @@ void TimingBloomFilter::read_state(std::istream& in) {
   scan_pos_ = scan;
   last_abs_unit_ = detail::read_u64(in);
   started_ = detail::read_u64(in) != 0;
-  const auto words = detail::read_words(in);
-  table_.set_raw_words(words);
-}
-
-void TimingBloomFilter::restore(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
-    throw std::runtime_error(
-        "TimingBloomFilter::restore: snapshot window [" + window.describe() +
-        "] does not match this instance [" + window_.describe() + "]");
-  }
-  if (opts.entries != table_.size() || opts.hash_count != family_.k() ||
-      opts.c != c_ || opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "TimingBloomFilter::restore: snapshot filter options (m/k/C/seed) do "
-        "not match this instance");
-  }
-  read_state(in);
-}
-
-std::unique_ptr<TimingBloomFilter> TimingBloomFilter::load(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  auto tbf = std::make_unique<TimingBloomFilter>(window, opts);
-  tbf->read_state(in);
-  return tbf;
+  table_.set_raw_words(detail::read_words(in));
 }
 
 }  // namespace ppc::core

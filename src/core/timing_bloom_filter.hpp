@@ -109,10 +109,6 @@ class TimingBloomFilter final : public DuplicateDetector {
   /// @throws std::runtime_error on corrupt or mismatched input.
   void restore(std::istream& in) override;
 
-  /// Restores a detector saved by save(). @throws std::runtime_error on a
-  /// corrupt or incompatible snapshot.
-  static std::unique_ptr<TimingBloomFilter> load(std::istream& in);
-
  private:
   static constexpr std::uint64_t kNoTick = ~std::uint64_t{0};
 
@@ -141,9 +137,6 @@ class TimingBloomFilter final : public DuplicateDetector {
     }
   };
   Clock clock() const noexcept { return {pos_, wrap_, window_ticks_, empty_}; }
-
-  void read_state(std::istream& in);
-  static void read_header(std::istream& in, WindowSpec& window, Options& opts);
 
   void clean_entries(std::uint64_t count);
   void advance_tick();

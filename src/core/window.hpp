@@ -61,6 +61,14 @@ struct WindowSpec {
   void validate() const;
 
   std::string describe() const;
+
+  friend bool operator==(const WindowSpec&, const WindowSpec&) = default;
 };
+
+/// Parses "sliding:N", "jumping:N:Q", "landmark:N" (count basis) and
+/// "sliding-time:SPAN_US:UNIT_US", "jumping-time:SPAN_US:Q:UNIT_US" (time
+/// basis) — the --window grammar of ppcguard, ppcd and ppc_loadgen.
+/// @throws std::invalid_argument on any other text.
+WindowSpec parse_window_spec(const std::string& text);
 
 }  // namespace ppc::core

@@ -236,6 +236,10 @@ class ReputationLedger {
   double promote_rate(Tier to) const noexcept;
   std::uint64_t promote_min_duplicates(Tier to) const noexcept;
 
+  /// restore()'s section body: parses the records, counters and offender
+  /// summary, and applies them once all of them parsed.
+  void restore_payload(std::istream& payload);
+
   EnforcementPolicy policy_;
   std::unordered_map<std::uint64_t, SourceState> sources_;
   analysis::SpaceSaving offenders_;

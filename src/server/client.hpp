@@ -70,8 +70,8 @@ class BlockingClient {
   }
 
   /// HELLO / HELLO_ACK version handshake; throws on mismatch or close.
-  /// Records the accepting loop's id (loop_id()) from a multi-loop
-  /// server's HELLO_ACK; a legacy 4-byte ack reads as loop 0.
+  /// Records the accepting loop's id (loop_id()) from the server's
+  /// HELLO_ACK.
   void handshake(std::uint32_t version = wire::kProtocolVersion) {
     scratch_.clear();
     wire::append_hello(scratch_, version);
@@ -89,7 +89,7 @@ class BlockingClient {
   }
 
   /// The server event loop that accepted this connection (valid after
-  /// handshake(); 0 for single-loop or pre-multi-loop servers).
+  /// handshake(); 0 for a single-loop server).
   std::uint32_t loop_id() const noexcept { return loop_id_; }
 
   void send_raw(std::span<const std::uint8_t> bytes) {
@@ -112,34 +112,12 @@ class BlockingClient {
     send_raw(scratch_);
   }
 
-  /// Columnar batch send for callers that keep clicks in flat arrays —
-  /// identical frame bytes to send_click_batch.
-  void send_click_batch_cols(std::uint64_t seq, std::uint32_t count,
-                             const std::uint32_t* ads,
-                             const std::uint64_t* ids,
-                             const std::uint64_t* times) {
-    scratch_.clear();
-    wire::append_click_batch_cols(scratch_, seq, count, ads, ids, times);
-    send_raw(scratch_);
-  }
-
   /// v2 batch carrying source IPs — only legal after
   /// handshake(wire::kProtocolVersionV2).
   void send_click_batch_v2(std::uint64_t seq,
                            std::span<const wire::ClickRecordV2> clicks) {
     scratch_.clear();
     wire::append_click_batch_v2(scratch_, seq, clicks);
-    send_raw(scratch_);
-  }
-
-  void send_click_batch_v2_cols(std::uint64_t seq, std::uint32_t count,
-                                const std::uint32_t* ads,
-                                const std::uint64_t* ids,
-                                const std::uint64_t* times,
-                                const std::uint32_t* sources) {
-    scratch_.clear();
-    wire::append_click_batch_v2_cols(scratch_, seq, count, ads, ids, times,
-                                     sources);
     send_raw(scratch_);
   }
 

@@ -444,12 +444,11 @@ namespace {
 /// save_sink_snapshot writes to disk and replication_snapshot ships over
 /// the wire, byte for byte the same.
 std::string encode_sink_snapshot(const ClickSink& sink) {
-  std::ostringstream payload(std::ios::binary);
-  sink.save_state(payload);
   std::ostringstream file(std::ios::binary);
-  core::detail::write_section(file, core::detail::kServerSnapshotMagic,
-                              payload.str());
-  return file.str();
+  core::detail::write_section(
+      file, core::detail::kServerSnapshotMagic,
+      [&](std::ostream& payload) { sink.save_state(payload); });
+  return std::move(file).str();
 }
 
 }  // namespace
@@ -524,18 +523,17 @@ void IngestServer::restore_sink_snapshot(ClickSink& sink,
 }
 
 void IngestServer::restore_sink_snapshot(ClickSink& sink, std::istream& in) {
-  const std::string payload = core::detail::read_section(
-      in, core::detail::kServerSnapshotMagic, "server snapshot");
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw std::runtime_error(
-        "snapshot: trailing bytes after server snapshot section");
-  }
-  std::istringstream ps(payload, std::ios::binary);
-  sink.restore_state(ps);
-  if (ps.peek() != std::istringstream::traits_type::eof()) {
-    throw std::runtime_error(
-        "snapshot: trailing bytes after sink state (corrupt snapshot)");
-  }
+  core::detail::read_section(
+      in, core::detail::kServerSnapshotMagic, "server snapshot",
+      [&](std::istream& payload) {
+        // The file holds one section and nothing after it; refuse a
+        // longer file before any sink state changes.
+        if (in.peek() != std::istream::traits_type::eof()) {
+          throw std::runtime_error(
+              "snapshot: trailing bytes after server snapshot section");
+        }
+        sink.restore_state(payload);
+      });
 }
 
 }  // namespace ppc::server

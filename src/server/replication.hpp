@@ -20,12 +20,15 @@
 // suite in tests/replication_test.cpp proves drain snapshots stay
 // byte-identical across all of them.
 //
-// Batch boundaries carry no meaning: every sink in the serving stack is a
-// per-click state machine (tiered epoch maintenance and enforcement
-// decisions happen inside the per-click loops), so replicated state
-// depends only on the total click order, never on how the primary's
-// flushes happened to chunk it. The ring is therefore free to split
-// flushed batches at arbitrary <= kMaxClicksPerBatch boundaries.
+// Offer boundaries: the detector sinks are per-click state machines
+// (tiered epoch maintenance runs inside the per-click loop), so their state
+// depends only on the total click order. EnforcingSink is not: it decides a
+// whole offer against the ledger before observing any of its verdicts, so
+// its verdicts and ledger depend on where offers split. The primary
+// therefore offers in exactly the <= kMaxClicksPerBatch chunks it appends
+// to the ring (IngestServer::offer_to_sink), and the follower offers one
+// ring entry per sink call, so both sides see the same click order AND the
+// same offer boundaries.
 #pragma once
 
 #include <atomic>

@@ -55,38 +55,9 @@ inline core::DetectorBackend parse_backend_spec(const std::string& text) {
       "unrecognized backend (want auto|gbf|tbf|apbf): " + text);
 }
 
-/// Parses "sliding:N", "jumping:N:Q", "landmark:N",
-/// "sliding-time:SPAN_US:UNIT_US", "jumping-time:SPAN_US:Q:UNIT_US" — the
-/// same grammar as ppcguard's --window flag.
-inline core::WindowSpec parse_window_spec(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const auto colon = text.find(':', start);
-    parts.push_back(text.substr(start, colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  auto num = [&](std::size_t i) { return std::stoull(parts.at(i)); };
-  if (parts[0] == "sliding" && parts.size() == 2) {
-    return core::WindowSpec::sliding_count(num(1));
-  }
-  if (parts[0] == "jumping" && parts.size() == 3) {
-    return core::WindowSpec::jumping_count(num(1),
-                                           static_cast<std::uint32_t>(num(2)));
-  }
-  if (parts[0] == "landmark" && parts.size() == 2) {
-    return core::WindowSpec::landmark_count(num(1));
-  }
-  if (parts[0] == "sliding-time" && parts.size() == 3) {
-    return core::WindowSpec::sliding_time(num(1), num(2));
-  }
-  if (parts[0] == "jumping-time" && parts.size() == 4) {
-    return core::WindowSpec::jumping_time(
-        num(1), static_cast<std::uint32_t>(num(2)), num(3));
-  }
-  throw std::invalid_argument("unrecognized window spec: " + text);
-}
+/// The --window grammar lives next to WindowSpec; ppcd, ppc_loadgen and
+/// the end-to-end benchmark reach it under this name.
+using core::parse_window_spec;
 
 /// Parses the "k=v,k=v" enforcement grammar into an EnforcementPolicy;
 /// "on"/"1" keeps every default. ppcd's --enforce and ppc_loadgen's

@@ -16,10 +16,8 @@
 //                                                 (1 = classic, 2 adds the
 //                                                 CLICK_BATCH_V2 frame)
 //   HELLO_ACK     u32 protocol_version,           server -> client; loop_id
-//                 [u32 loop_id]                   is the event loop that
+//                 u32 loop_id                     is the event loop that
 //                                                 accepted the connection
-//                                                 (omitted by pre-multi-loop
-//                                                 servers; parses as 0)
 //   CLICK_BATCH   u64 seq, u32 count,             client -> server
 //                 count x { u32 ad_id, u64 click_id, u64 t_us }  (20 B each)
 //   VERDICT_BATCH u64 seq, u32 count,             server -> client; bit i
@@ -34,8 +32,7 @@
 //                                                 per-tier/enforcement
 //                                                 fields are zero for
 //                                                 untiered/unenforced
-//                                                 sinks; the legacy 16-u64
-//                                                 form still parses
+//                                                 sinks
 //   CLICK_BATCH_V2 u64 seq, u32 count,            client -> server, only
 //                 count x { u32 ad_id,            after a version-2 HELLO;
 //                 u64 click_id, u64 t_us,         carries the source IP
@@ -282,13 +279,6 @@ inline void seal_frame(std::vector<std::uint8_t>& out,
 }
 }  // namespace detail
 
-inline void append_frame(std::vector<std::uint8_t>& out, FrameType type,
-                         std::span<const std::uint8_t> payload) {
-  std::uint8_t* p = detail::open_frame(out, type, payload.size());
-  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
-  detail::seal_frame(out, payload.size());
-}
-
 inline void append_hello(std::vector<std::uint8_t>& out,
                          std::uint32_t version = kProtocolVersion) {
   std::uint8_t* p = detail::open_frame(out, FrameType::kHello, 4);
@@ -296,9 +286,7 @@ inline void append_hello(std::vector<std::uint8_t>& out,
   detail::seal_frame(out, 4);
 }
 
-/// `loop_id` identifies the event loop that accepted the connection; the
-/// 8-byte payload is understood by every client (a 4-byte legacy HELLO_ACK
-/// still parses, as loop 0 — see parse_hello_ack).
+/// `loop_id` identifies the event loop that accepted the connection.
 inline void append_hello_ack(std::vector<std::uint8_t>& out,
                              std::uint32_t version = kProtocolVersion,
                              std::uint32_t loop_id = 0) {
@@ -444,10 +432,8 @@ inline void append_drain_ack(std::vector<std::uint8_t>& out,
 /// doubles carried via bit_cast). Untiered sinks fill the totals and
 /// memory fields and leave the per-tier fields zero; tiered sinks mirror
 /// adnet::TierStats, so an operator dashboard can watch memory and FPR
-/// budgets per tier without touching the click path. The enforcement
-/// fields extend the payload from the legacy 16 u64s to 21 — encoders
-/// emit the extended form, the parser accepts both sizes (the HELLO_ACK
-/// evolution idiom), so a pre-enforcement peer keeps working.
+/// budgets per tier without touching the click path. Unenforced sinks
+/// leave the five enforcement fields zero.
 struct StatsReport {
   std::uint64_t clicks = 0;
   std::uint64_t duplicates = 0;
@@ -474,8 +460,6 @@ struct StatsReport {
 
   friend bool operator==(const StatsReport&, const StatsReport&) = default;
 };
-/// Legacy (pre-enforcement) STATS_ACK size; still accepted on parse.
-inline constexpr std::size_t kStatsReportLegacyBytes = 16 * 8;
 inline constexpr std::size_t kStatsReportBytes = 21 * 8;
 
 inline void append_stats(std::vector<std::uint8_t>& out) {
@@ -631,18 +615,17 @@ inline bool parse_version(std::span<const std::uint8_t> payload,
   return true;
 }
 
-/// HELLO_ACK: 8 bytes {version, loop_id} from a multi-loop server, or the
-/// legacy 4-byte {version} form, which parses with loop_id = 0.
+/// HELLO_ACK: 8 bytes {version, loop_id}.
 inline bool parse_hello_ack(std::span<const std::uint8_t> payload,
                             std::uint32_t& version, std::uint32_t& loop_id,
                             std::string& error) {
-  if (payload.size() != 4 && payload.size() != 8) {
-    error = "HELLO_ACK payload must be 4 or 8 bytes, got " +
+  if (payload.size() != 8) {
+    error = "HELLO_ACK payload must be 8 bytes, got " +
             std::to_string(payload.size());
     return false;
   }
   version = get_u32(payload.data());
-  loop_id = payload.size() == 8 ? get_u32(payload.data() + 4) : 0;
+  loop_id = get_u32(payload.data() + 4);
   return true;
 }
 
@@ -832,11 +815,9 @@ inline bool parse_stats(std::span<const std::uint8_t> payload,
 
 inline bool parse_stats_ack(std::span<const std::uint8_t> payload,
                             StatsReport& report, std::string& error) {
-  if (payload.size() != kStatsReportBytes &&
-      payload.size() != kStatsReportLegacyBytes) {
+  if (payload.size() != kStatsReportBytes) {
     error = "STATS_ACK payload must be " + std::to_string(kStatsReportBytes) +
-            " or " + std::to_string(kStatsReportLegacyBytes) + " bytes, got " +
-            std::to_string(payload.size());
+            " bytes, got " + std::to_string(payload.size());
     return false;
   }
   const std::uint8_t* p = payload.data();
@@ -856,20 +837,11 @@ inline bool parse_stats_ack(std::span<const std::uint8_t> payload,
   report.promotion_deferrals = get_u64(p + 104);
   report.hot_target_fpr = std::bit_cast<double>(get_u64(p + 112));
   report.tail_target_fpr = std::bit_cast<double>(get_u64(p + 120));
-  if (payload.size() == kStatsReportBytes) {
-    report.enforce_sources = get_u64(p + 128);
-    report.enforce_flagged = get_u64(p + 136);
-    report.enforce_discounted = get_u64(p + 144);
-    report.enforce_blocked = get_u64(p + 152);
-    report.enforce_rejected = get_u64(p + 160);
-  } else {
-    // Legacy 16-field report: a pre-enforcement server has nothing to say.
-    report.enforce_sources = 0;
-    report.enforce_flagged = 0;
-    report.enforce_discounted = 0;
-    report.enforce_blocked = 0;
-    report.enforce_rejected = 0;
-  }
+  report.enforce_sources = get_u64(p + 128);
+  report.enforce_flagged = get_u64(p + 136);
+  report.enforce_discounted = get_u64(p + 144);
+  report.enforce_blocked = get_u64(p + 152);
+  report.enforce_rejected = get_u64(p + 160);
   return true;
 }
 

@@ -8,12 +8,14 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/validity_oracle.hpp"
 #include "core/age_partitioned_bloom_filter.hpp"
 #include "core/detector_factory.hpp"
 #include "core/sharded_detector.hpp"
+#include "core/snapshot_io.hpp"
 #include "detector_test_util.hpp"
 
 namespace ppc::core {
@@ -257,22 +259,22 @@ TEST(Apbf, SnapshotRoundTripIsBitIdentical) {
   for (const auto id : more) ASSERT_EQ(a.offer(id), b.offer(id));
 }
 
-TEST(Apbf, LoadRebuildsTheFilterFromTheSnapshotAlone) {
+TEST(Apbf, TimeBasisRestoreResumesInLockstep) {
   constexpr std::uint64_t kUnitUs = 1'000;
-  AgePartitionedBloomFilter a(WindowSpec::sliding_time(64 * kUnitUs, kUnitUs),
-                              small_opts(1u << 12, 5, 6));
+  const auto window = WindowSpec::sliding_time(64 * kUnitUs, kUnitUs);
+  AgePartitionedBloomFilter a(window, small_opts(1u << 12, 5, 6));
   for (std::uint64_t i = 0; i < 3'000; ++i) {
     a.offer(i % 700, 1'000'000 + i * kUnitUs / 3);
   }
   std::ostringstream saved;
   a.save(saved);
   std::istringstream in(saved.str());
-  const auto b = AgePartitionedBloomFilter::load(in);
-  ASSERT_NE(b, nullptr);
+  AgePartitionedBloomFilter b(window, small_opts(1u << 12, 5, 6));
+  b.restore(in);
   const std::uint64_t t0 = 1'000'000 + 1'000 * kUnitUs;
   for (std::uint64_t i = 0; i < 2'000; ++i) {
     const std::uint64_t t = t0 + i * kUnitUs / 2;
-    ASSERT_EQ(a.offer(i % 900, t), b->offer(i % 900, t)) << i;
+    ASSERT_EQ(a.offer(i % 900, t), b.offer(i % 900, t)) << i;
   }
 }
 
@@ -313,7 +315,31 @@ TEST(Apbf, RestoreRejectsCorruptAndTruncatedSnapshots) {
   EXPECT_THROW(c.restore(truncated), std::runtime_error);
 
   std::istringstream garbage(std::string(64, '\x5a'));
-  EXPECT_THROW(AgePartitionedBloomFilter::load(garbage), std::runtime_error);
+  EXPECT_THROW(c.restore(garbage), std::runtime_error);
+}
+
+// A CRC-valid section whose payload runs past the filter's state is not
+// that filter's snapshot.
+TEST(Apbf, RestoreRefusesTrailingPayloadBytes) {
+  AgePartitionedBloomFilter a(WindowSpec::sliding_count(512),
+                              small_opts(1u << 12, 6, 8));
+  for (std::uint64_t i = 0; i < 1'000; ++i) a.offer(i);
+  std::stringstream saved;
+  a.save(saved);
+  std::string payload = detail::read_section(saved, detail::kApbfMagic, "apbf");
+  payload.append(16, '\0');
+  std::stringstream forged;
+  detail::write_section(forged, detail::kApbfMagic, payload);
+
+  AgePartitionedBloomFilter b(WindowSpec::sliding_count(512),
+                              small_opts(1u << 12, 6, 8));
+  try {
+    b.restore(forged);
+    FAIL() << "restore accepted 16 bytes past the filter state";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ----------------------------------------------------- sharded / factory

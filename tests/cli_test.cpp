@@ -80,7 +80,17 @@ TEST(Cli, DetectRequiresTraceFlag) {
 TEST(Cli, BadWindowSyntaxIsReported) {
   const auto r = run("detect --trace=/nonexistent --window=circular:9");
   EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("unrecognized --window"), std::string::npos);
+  EXPECT_NE(r.output.find("unrecognized window spec: circular:9"),
+            std::string::npos)
+      << r.output;
+}
+
+// A misspelt flag must not run on the default window.
+TEST(Cli, UnknownFlagIsRefused) {
+  const auto r = run("detect --trace=X --windw=sliding:5");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown flag --windw"), std::string::npos)
+      << r.output;
 }
 
 }  // namespace

@@ -224,7 +224,9 @@ TEST(TbfWraparoundDurability, StaleScanReclaimsExpiredEntriesAfterRestore) {
     }
     std::stringstream buffer;
     live.save(buffer);
-    auto resumed = core::TimingBloomFilter::load(buffer);
+    auto resumed = std::make_unique<core::TimingBloomFilter>(
+        WindowSpec::sliding_count(64), wrap_tbf_opts());
+    resumed->restore(buffer);
 
     // 70 fresh arrivals push pos_ through the wrap; ids 1..20 now have
     // ages well past wrap_ — exactly the aliasing regime.

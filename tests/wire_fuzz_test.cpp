@@ -190,11 +190,11 @@ DecodeStatus check_decode(const std::vector<std::uint8_t>& buf) {
       VerdictBatchView verdicts;
       (void)parse_version(frame.payload, version, err);
       if (parse_click_batch(frame.payload, clicks, err)) {
-        // The zero-copy server decodes in place and hands offer_batch
-        // spans pointing straight at these records — so on EVERY accepted
-        // batch (including mutated ones that happened to stay valid) the
-        // record span must lie inside the buffer, and the columnar
-        // deinterleave must agree with the row-wise accessor exactly.
+        // The server deinterleaves each accepted batch straight out of
+        // this view into its pending columns — so on EVERY accepted batch
+        // (including mutated ones that happened to stay valid) the record
+        // span must lie inside the buffer, and the columnar deinterleave
+        // must agree with the row-wise accessor exactly.
         if (clicks.count > 0) {
           EXPECT_GE(clicks.records, begin);
           EXPECT_LE(clicks.records + clicks.count * kClickRecordBytes, end);
@@ -488,8 +488,8 @@ TEST(WireFuzz, SlicedCrcMatchesBytewiseReference) {
   }
 }
 
-TEST(WireFuzz, HelloAckCarriesLoopIdAndAcceptsLegacyPayload) {
-  // Current 8-byte HELLO_ACK: version + accepting loop id.
+TEST(WireFuzz, HelloAckCarriesLoopIdAndRefusesLegacyPayload) {
+  // The 8-byte HELLO_ACK: version + accepting loop id.
   std::vector<std::uint8_t> buf;
   append_hello_ack(buf, kProtocolVersion, /*loop_id=*/3);
   FrameView frame;
@@ -502,7 +502,8 @@ TEST(WireFuzz, HelloAckCarriesLoopIdAndAcceptsLegacyPayload) {
   EXPECT_EQ(version, kProtocolVersion);
   EXPECT_EQ(loop_id, 3u);
 
-  // Legacy 4-byte payload (pre-multi-loop servers): parses as loop 0.
+  // The 4-byte payload of servers that predate multiple loops frames
+  // cleanly but is refused by name: no server in this tree writes it.
   std::vector<std::uint8_t> body{
       static_cast<std::uint8_t>(FrameType::kHelloAck)};
   put_u32(body, kProtocolVersion);
@@ -512,10 +513,9 @@ TEST(WireFuzz, HelloAckCarriesLoopIdAndAcceptsLegacyPayload) {
   put_u32(legacy, crc32(body));
   ASSERT_EQ(decode_frame(legacy, frame, consumed, error),
             DecodeStatus::kFrame);
-  loop_id = 99;
-  ASSERT_TRUE(parse_hello_ack(frame.payload, version, loop_id, error));
-  EXPECT_EQ(version, kProtocolVersion);
-  EXPECT_EQ(loop_id, 0u);
+  error.clear();
+  EXPECT_FALSE(parse_hello_ack(frame.payload, version, loop_id, error));
+  EXPECT_EQ(error, "HELLO_ACK payload must be 8 bytes, got 4");
 
   // Any other payload size is rejected cleanly.
   for (const std::size_t n : {0u, 1u, 3u, 5u, 7u, 9u, 16u}) {
@@ -527,8 +527,8 @@ TEST(WireFuzz, HelloAckCarriesLoopIdAndAcceptsLegacyPayload) {
 }
 
 TEST(WireFuzz, ColumnarEncoderMatchesRowEncoder) {
-  // append_click_batch_cols (the server's scatter-free reply/replay path)
-  // must emit byte-identical frames to the row-wise encoder.
+  // append_click_batch_cols (the columnar encoder benchmark clients send
+  // with) must emit byte-identical frames to the row-wise encoder.
   for (const std::uint32_t count : {0u, 1u, 7u, 100u}) {
     std::vector<ClickRecord> rows(count);
     std::vector<std::uint32_t> ads(count);
@@ -582,19 +582,13 @@ TEST(WireFuzz, StatsReportRoundTrip) {
   ASSERT_TRUE(parse_stats_ack(frame.payload, parsed, error));
   EXPECT_EQ(parsed, report);
 
-  // Legacy 128-byte payload (pre-enforcement servers): the 16 original
-  // fields parse, the enforce_* tail reads as zero.
-  StatsReport legacy;
-  ASSERT_TRUE(parse_stats_ack(
-      std::span<const std::uint8_t>(frame.payload.data(),
-                                    kStatsReportLegacyBytes),
-      legacy, error));
-  EXPECT_EQ(legacy.clicks, report.clicks);
-  EXPECT_EQ(legacy.tail_target_fpr, report.tail_target_fpr);
-  EXPECT_EQ(legacy.enforce_sources, 0u);
-  EXPECT_EQ(legacy.enforce_rejected, 0u);
+  // The 128-byte payload of servers that predate enforcement is refused
+  // by name: no server in this tree writes it.
+  error.clear();
+  EXPECT_FALSE(parse_stats_ack(frame.payload.first(128), parsed, error));
+  EXPECT_EQ(error, "STATS_ACK payload must be 168 bytes, got 128");
 
-  // Any payload size other than the two fixed layouts is rejected cleanly.
+  // Any payload size other than the fixed layout is rejected cleanly.
   for (const std::size_t n : {0u, 1u, 64u, 127u, 129u, 167u, 169u, 256u}) {
     const std::vector<std::uint8_t> bad(n, 0xcd);
     error.clear();

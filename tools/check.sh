@@ -10,8 +10,10 @@
 #      (receive buffer -> pending columns -> verdict frames),
 #      wire_fuzz_test (frame decoders on mutated input), durability_test
 #      (snapshot sections) and replication_test (the replication ring and
-#      snapshot catch-up), so an out-of-bounds read or a use after free on
-#      the ingest path fails the check instead of passing by luck;
+#      snapshot catch-up), plus the suites that forge and restore every
+#      snapshot format — snapshot_test, apbf_test and tiered_pool_test —
+#      so an out-of-bounds read or a use after free on the ingest or
+#      snapshot path fails the check instead of passing by luck;
 #   4. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
 #      tests — sharded_test, runtime_test, parallel_batch_test (concurrent
 #      offer_batch callers on the ThreadPool fan-out path),
@@ -38,7 +40,7 @@ TSAN_ONLY=0
 [[ "${1:-}" == "--tsan-only" ]] && TSAN_ONLY=1
 
 ASAN_TESTS=(server_e2e_test wire_fuzz_test durability_test enforce_test
-            replication_test)
+            replication_test snapshot_test apbf_test tiered_pool_test)
 TSAN_TESTS=(sharded_test runtime_test parallel_batch_test batch_times_test
             wire_fuzz_test server_e2e_test durability_test apbf_test
             conformance_test adnet_extra_test tiered_pool_test enforce_test

@@ -15,15 +15,15 @@ namespace ppc::cli {
 
 using Flags = std::map<std::string, std::string>;
 
-/// Parses `--key=value` arguments; a bare `--key` reads "1". `--help`, `-h`
-/// and any argument not starting with `--` call `usage(argv[0])`. A key
-/// missing from `known` exits 2 with "<prog>: unknown flag --key", so a
-/// misspelt flag cannot run on defaults.
+/// Parses the `--key=value` arguments from `argv[first]` on; a bare `--key`
+/// reads "1". `--help`, `-h` and any argument not starting with `--` call
+/// `usage(argv[0])`. A key missing from `known` exits 2 with "<prog>:
+/// unknown flag --key", so a misspelt flag cannot run on defaults.
 inline Flags parse_flags(int argc, char** argv, const char* prog,
                          std::span<const std::string_view> known,
-                         void (*usage)(const char*)) {
+                         void (*usage)(const char*), int first = 1) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) != 0) {
       usage(argv[0]);

@@ -13,14 +13,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "adnet/auditor.hpp"
 #include "analysis/sizing.hpp"
 #include "baseline/exact_detectors.hpp"
 #include "core/detector_factory.hpp"
+#include "core/window.hpp"
 #include "stream/adapters.hpp"
 #include "stream/generators.hpp"
 #include "stream/trace.hpp"
@@ -43,58 +45,10 @@ namespace {
       "  detect  --trace=PATH --window=sliding:N | jumping:N:Q | landmark:N\n"
       "          [--memory-mib=M] [--hashes=K] [--policy=ip|cookie|both]\n"
       "  audit   --trace=PATH --window=... [--memory-mib=M] [--bid=DOLLARS]\n"
+      "          [--policy=ip|cookie|both]\n"
       "  plan    --window-n=N [--q=Q] [--fpr=P]\n",
       argv0);
   std::exit(2);
-}
-
-/// --key=value arguments into a map; anything else is an error.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               const char* argv0) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) usage(argv0);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-/// Parses "sliding:N", "jumping:N:Q", "landmark:N" (count-based) and the
-/// time-based "sliding-time:SPAN_US:UNIT_US" / "jumping-time:SPAN:Q:UNIT".
-core::WindowSpec parse_window(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const auto colon = text.find(':', start);
-    parts.push_back(text.substr(start, colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  auto num = [&](std::size_t i) { return std::stoull(parts.at(i)); };
-  if (parts[0] == "sliding" && parts.size() == 2) {
-    return core::WindowSpec::sliding_count(num(1));
-  }
-  if (parts[0] == "jumping" && parts.size() == 3) {
-    return core::WindowSpec::jumping_count(
-        num(1), static_cast<std::uint32_t>(num(2)));
-  }
-  if (parts[0] == "landmark" && parts.size() == 2) {
-    return core::WindowSpec::landmark_count(num(1));
-  }
-  if (parts[0] == "sliding-time" && parts.size() == 3) {
-    return core::WindowSpec::sliding_time(num(1), num(2));
-  }
-  if (parts[0] == "jumping-time" && parts.size() == 4) {
-    return core::WindowSpec::jumping_time(
-        num(1), static_cast<std::uint32_t>(num(2)), num(3));
-  }
-  throw std::invalid_argument("unrecognized --window: " + text);
 }
 
 stream::IdentifierPolicy parse_policy(const std::string& text) {
@@ -104,7 +58,7 @@ stream::IdentifierPolicy parse_policy(const std::string& text) {
   throw std::invalid_argument("unrecognized --policy: " + text);
 }
 
-int cmd_gen(const std::map<std::string, std::string>& flags) {
+int cmd_gen(const Flags& flags) {
   const std::string out = flag(flags, "out", "");
   if (out.empty()) throw std::invalid_argument("gen: --out is required");
   const std::uint64_t clicks = flag_u64(flags, "clicks", 1'000'000);
@@ -151,10 +105,10 @@ int cmd_gen(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_detect(const std::map<std::string, std::string>& flags) {
+int cmd_detect(const Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("detect: --trace is required");
-  const auto window = parse_window(flag(flags, "window", "sliding:100000"));
+  const auto window = core::parse_window_spec(flag(flags, "window", "sliding:100000"));
   const auto policy = parse_policy(flag(flags, "policy", "ip"));
 
   core::DetectorBudget budget;
@@ -192,10 +146,10 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_audit(const std::map<std::string, std::string>& flags) {
+int cmd_audit(const Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("audit: --trace is required");
-  const auto window = parse_window(flag(flags, "window", "sliding:100000"));
+  const auto window = core::parse_window_spec(flag(flags, "window", "sliding:100000"));
   const auto policy = parse_policy(flag(flags, "policy", "ip"));
   const auto bid = adnet::from_dollars(flag_double(flags, "bid", 0.25));
 
@@ -266,7 +220,7 @@ int cmd_audit(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_plan(const std::map<std::string, std::string>& flags) {
+int cmd_plan(const Flags& flags) {
   const std::uint64_t n = flag_u64(flags, "window-n", 1u << 20);
   const auto q = static_cast<std::uint32_t>(flag_u64(flags, "q", 8));
   const double fpr = flag_double(flags, "fpr", 0.01);
@@ -296,20 +250,37 @@ int cmd_plan(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// The flags each subcommand's usage() line lists; parse_flags refuses any
+/// other, so a misspelt flag cannot run on defaults.
+constexpr std::string_view kGenFlags[] = {
+    "out", "clicks", "kind", "seed", "users", "ads", "bots",
+    "attack-fraction"};
+constexpr std::string_view kDetectFlags[] = {"trace", "window", "memory-mib",
+                                             "hashes", "policy"};
+constexpr std::string_view kAuditFlags[] = {"trace", "window", "memory-mib",
+                                            "bid", "policy"};
+constexpr std::string_view kPlanFlags[] = {"window-n", "q", "fpr"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
-  const std::string command = argv[1];
-  try {
-    const auto flags = parse_flags(argc, argv, argv[0]);
-    if (command == "gen") return cmd_gen(flags);
-    if (command == "detect") return cmd_detect(flags);
-    if (command == "audit") return cmd_audit(flags);
-    if (command == "plan") return cmd_plan(flags);
-    usage(argv[0]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ppcguard %s: %s\n", command.c_str(), e.what());
-    return 1;
-  }
+  const std::string prog = std::string("ppcguard ") + argv[1];
+  const auto run = [&](std::span<const std::string_view> known,
+                       int (*command)(const Flags&)) {
+    const Flags flags =
+        parse_flags(argc, argv, prog.c_str(), known, usage, /*first=*/2);
+    try {
+      return command(flags);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", prog.c_str(), e.what());
+      return 1;
+    }
+  };
+  const std::string_view command = argv[1];
+  if (command == "gen") return run(kGenFlags, cmd_gen);
+  if (command == "detect") return run(kDetectFlags, cmd_detect);
+  if (command == "audit") return run(kAuditFlags, cmd_audit);
+  if (command == "plan") return run(kPlanFlags, cmd_plan);
+  usage(argv[0]);
 }
