@@ -235,8 +235,8 @@ TEST(ServerE2E, MultiConnectionInterleaveIsPerAdExact) {
   }
 }
 
-// Backpressure: tiny kernel send buffer on the server side, a client that
-// does not read until everything is sent, watermarks small enough that the
+// Backpressure: tiny kernel buffers on the reply path, a client that does
+// not read until the server has paused, watermarks small enough that the
 // reply backlog crosses them. The server must pause reads rather than
 // buffer without bound — and still deliver every verdict once the client
 // finally drains.
@@ -249,52 +249,47 @@ TEST(ServerE2E, BackpressurePausesReadsAndLosesNothing) {
   // makes the kernel DROP segments outright — the connection then crawls
   // through exponential retransmission backoff (observed: rto 13 s,
   // cwnd 1) instead of flowing, and the sender eventually dies with
-  // ETIMEDOUT. 64 KiB is ≥ one segment yet ≪ the input stream, which is
-  // all the determinism below needs.
+  // ETIMEDOUT.
   opts.loop.rcvbuf_bytes = 64 * 1024;
   opts.loop.high_watermark = 16384;  // ...then in a 16 KiB userspace buffer
   opts.loop.low_watermark = 4096;
   LoopbackServer server(cfg, opts);
 
-  // Verdicts are one BIT per click, so backlog needs per-frame overhead to
-  // build: tiny 8-click frames make the reply stream ~22 bytes per frame,
-  // ~165 KiB total — far past the 16 KiB watermark while the client is
-  // not reading.
-  const auto clicks = make_clicks(1, 60'000, 21);
+  // One click per frame earns the most reply bytes per input byte: each
+  // 41-byte CLICK_BATCH gets a 22-byte VERDICT_BATCH, so the ~110 KB of
+  // input queues ~59 KB of replies, far more than the reply path holds
+  // while the client is not reading: 8 KiB of server send buffer + 8 KiB
+  // of client receive buffer (the kernel doubles each 4 KiB) + the 16 KiB
+  // watermark. In practice the first 64 KiB loopback segment (~35 KB of
+  // replies) already pauses reads.
+  const auto clicks = make_clicks(1, 2'700, 21);
+  std::vector<std::uint8_t> frames;
+  for (std::size_t i = 0; i < clicks.size(); ++i) {
+    wire::append_click_batch(
+        frames, i, std::span<const wire::ClickRecord>(clicks).subspan(i, 1));
+  }
   BlockingClient client;
-  client.set_rcvbuf(4096);  // the client side jams quickly too
-  // Bounded client SO_SNDBUF + bounded server SO_RCVBUF: at most ~256 KiB
-  // of the ~1.35 MiB input stream can hide in kernel buffers, so the
-  // sender can only finish after the server consumed ≥ 1 MiB — by which
-  // point the generated replies (~130 KiB) dwarf the ~48 KiB of kernel +
-  // watermark headroom and the pause has provably fired. Without these
-  // bounds the sender could outrun the server into auto-tuned multi-MiB
-  // buffers and finish with zero pauses (a real flake on a 1-core host).
-  client.set_sndbuf(64 * 1024);
+  client.set_rcvbuf(4096);
+  // The whole ~110 KB of input fits in the client's send buffer, so one
+  // send hands it all to the kernel and the client needs no ACK while it
+  // is not reading. A client that kept sending while its receive buffer
+  // sat full hung here in ~0.3 % of runs: the full buffer dropped the
+  // server's segments, the ACKs for the client's own clicks included, and
+  // both directions backed off for seconds.
+  client.set_sndbuf(1 << 20);
   client.connect("127.0.0.1", server.port());
   client.handshake();
+  client.send_raw(frames);
 
-  // A sender thread fires every batch while the main thread refuses to
-  // read a single reply until the server has actually paused reads (or the
-  // sender finished) — so the reply backlog provably crossed the
-  // watermark, and draining afterwards releases the paused sender instead
-  // of deadlocking with it.
-  constexpr std::size_t kBatch = 8;
-  std::atomic<bool> sender_done{false};
-  std::jthread sender([&] {  // jthread: joins even if an ASSERT bails out
-
-    std::uint64_t seq = 0;
-    for (std::size_t sent = 0; sent < clicks.size(); sent += kBatch) {
-      const std::size_t n = std::min(kBatch, clicks.size() - sent);
-      client.send_click_batch(
-          seq++, std::span<const wire::ClickRecord>(clicks).subspan(sent, n));
-    }
-    sender_done.store(true);
-  });
-  while (!sender_done.load() &&
-         server.server().loop_stats().backpressure_pauses == 0) {
+  // Read nothing until the server has paused reads on this connection.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.server().loop_stats().backpressure_pauses == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
+  ASSERT_GE(server.server().loop_stats().backpressure_pauses, 1u)
+      << "the server never paused reads";
 
   // Now drain all verdicts.
   std::vector<bool> verdicts;
@@ -311,7 +306,6 @@ TEST(ServerE2E, BackpressurePausesReadsAndLosesNothing) {
       verdicts.push_back(view.duplicate(i));
     }
   }
-  sender.join();
   ASSERT_EQ(verdicts.size(), clicks.size());
 
   const auto expected = oracle_verdicts(cfg, clicks);
